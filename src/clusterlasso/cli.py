@@ -8,8 +8,7 @@ import os
 
 _nt = os.environ.get("CLUSTERLASSO_NUM_THREADS")
 if _nt:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMBA_NUM_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, _nt)
 
 import argparse

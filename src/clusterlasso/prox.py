@@ -16,8 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import pav_nonincreasing
-
 
 @dataclass(frozen=True)
 class Penalties:
@@ -100,6 +98,42 @@ def penalty_value(x: np.ndarray, pen: Penalties) -> float:
     return val
 
 
+def pav_nonincreasing(v: np.ndarray):
+    """Pool-adjacent-violators sweep onto the non-increasing cone.
+
+    v must be a nonempty 1-D float64 array.  Returns ``(sums, counts)``
+    for the merged blocks, left to right; the projection is
+    ``repeat(sums / counts, counts)``.  Blocks merge only on strict order
+    violations, so exact ties stay in separate blocks.
+
+    The sweep is sequential, so it runs over Python floats rather than
+    numpy scalars, with the top block held in locals and the blocks below
+    it on two list stacks.  Iterating a memoryview makes each float only
+    when the sweep reaches it, so values that get pooled away are freed at
+    once instead of all n being held, which keeps large inputs in cache.
+    Counts are positive, so the cross-multiplied test ``ts * c < s * tc``
+    is the mean comparison ``ts / tc < s / c`` without the division.
+    """
+    vals = iter(memoryview(v))
+    sums, counts = [], []
+    ts, tc = next(vals), 1
+    for s in vals:
+        if ts < s * tc:
+            s += ts
+            c = tc + 1
+            while sums and sums[-1] * c < s * counts[-1]:
+                s += sums.pop()
+                c += counts.pop()
+            ts, tc = s, c
+        else:
+            sums.append(ts)
+            counts.append(tc)
+            ts, tc = s, 1
+    sums.append(ts)
+    counts.append(tc)
+    return np.array(sums), np.array(counts, dtype=np.int64)
+
+
 def project_nonincreasing(v: np.ndarray):
     """Euclidean projection onto {x : x_1 >= x_2 >= ... >= x_n}.
 
@@ -112,11 +146,13 @@ def project_nonincreasing(v: np.ndarray):
         raise ValueError("cannot project an empty vector")
     sums, counts = pav_nonincreasing(v)
     means = sums / counts
-    if means.size > 1:
-        first = np.flatnonzero(np.r_[True, np.diff(means) != 0.0])
-        if first.size != means.size:
-            counts = np.add.reduceat(counts, first)
-            means = means[first]
+    keep = np.empty(means.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(means[1:], means[:-1], out=keep[1:])
+    if not keep.all():
+        first = np.flatnonzero(keep)
+        counts = np.add.reduceat(counts, first)
+        means = means[first]
     starts = np.zeros(counts.size, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
     proj = np.repeat(means, counts)

@@ -14,7 +14,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from clusterlasso._kernels import warmup
 from clusterlasso.common import CONVERGED, SolverConfig
 from clusterlasso.data import (
     ScenarioSpec,
@@ -173,7 +172,6 @@ class TestAcceptance:
 
     def test_criterion_03_prox_scales_like_n_log_n(self):
         """time(prox, 1e6) / time(prox, 1e5) <= 15."""
-        warmup()
         rng = np.random.default_rng(12)
         pen = Penalties(0.1, 1e-6)
         t0 = time.perf_counter()

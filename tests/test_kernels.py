@@ -1,13 +1,21 @@
-"""The jitted pooling kernel and its pure-Python fallback must agree bitwise."""
+"""Checks on the raw pool-adjacent-violators sweep.
 
+``pav_nonincreasing`` returns the unmerged ``(sums, counts)`` stack that
+``project_nonincreasing`` turns into a projection; the projection itself is
+checked against the active-set QP oracle in ``test_prox.py``.  Here the
+sweep is held bitwise to a plain array-stack reference and checked for
+its structure.
+"""
+
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from clusterlasso import _kernels
-from clusterlasso._kernels import pav_nonincreasing, pav_nonincreasing_py
+import clusterlasso
+from clusterlasso.prox import pav_nonincreasing
 
 
 def _pools_to_vector(sums, counts, n):
@@ -19,76 +27,100 @@ def _pools_to_vector(sums, counts, n):
     return out
 
 
+def _pav_reference(v):
+    """Array-stack PAV over numpy scalars: the same comparisons and
+    additions in the same order as ``pav_nonincreasing``, written out
+    directly."""
+    n = v.shape[0]
+    sums = np.empty(n, dtype=np.float64)
+    counts = np.empty(n, dtype=np.int64)
+    top = 0
+    for i in range(n):
+        s = v[i]
+        c = 1
+        while top > 0 and sums[top - 1] * c < s * counts[top - 1]:
+            s += sums[top - 1]
+            c += counts[top - 1]
+            top -= 1
+        sums[top] = s
+        counts[top] = c
+        top += 1
+    return sums[:top].copy(), counts[:top].copy()
+
+
 class TestKernelEquivalence:
     @pytest.mark.parametrize("seed", range(25))
     def test_fallback_matches_jitted(self, seed):
+        """The list-stack sweep reproduces the reference bit for bit."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 200))
         v = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e6])
         if seed % 4 == 0:
             v = np.round(v, 1)
         s1, c1 = pav_nonincreasing(v)
-        s2, c2 = pav_nonincreasing_py(v)
-        np.testing.assert_array_equal(np.asarray(s1), np.asarray(s2))
-        np.testing.assert_array_equal(np.asarray(c1), np.asarray(c2))
+        s2, c2 = _pav_reference(v)
+        np.testing.assert_array_equal(s1, s2)
+        np.testing.assert_array_equal(c1, c2)
 
     def test_counts_cover_input(self):
         rng = np.random.default_rng(99)
         v = rng.normal(size=64)
-        _, counts = pav_nonincreasing_py(v)
-        assert int(np.sum(np.asarray(counts))) == 64
+        _, counts = pav_nonincreasing(v)
+        assert int(np.sum(counts)) == 64
 
     def test_block_means_nonincreasing(self):
         rng = np.random.default_rng(100)
         v = rng.normal(size=80)
-        sums, counts = pav_nonincreasing_py(v)
-        means = np.asarray(sums) / np.asarray(counts)
+        sums, counts = pav_nonincreasing(v)
+        means = sums / counts
         assert np.all(np.diff(means) < 1e-15)
 
     def test_sorted_input_stays_split(self):
         v = np.array([4.0, 3.0, 2.0, 1.0])
-        sums, counts = pav_nonincreasing_py(v)
-        np.testing.assert_array_equal(np.asarray(counts), [1, 1, 1, 1])
-        np.testing.assert_array_equal(np.asarray(sums), v)
+        sums, counts = pav_nonincreasing(v)
+        np.testing.assert_array_equal(counts, [1, 1, 1, 1])
+        np.testing.assert_array_equal(sums, v)
+
+    def test_exact_ties_stay_split(self):
+        # the sweep pools only on strict violations; coalescing equal
+        # means is project_nonincreasing's job
+        sums, counts = pav_nonincreasing(np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(counts, [1, 1])
+        np.testing.assert_array_equal(sums, [1.0, 1.0])
 
     def test_increasing_input_fully_pools(self):
         v = np.array([1.0, 2.0, 3.0])
-        sums, counts = pav_nonincreasing_py(v)
-        assert len(np.asarray(counts)) == 1
-        assert np.asarray(sums)[0] == pytest.approx(6.0)
+        sums, counts = pav_nonincreasing(v)
+        assert len(counts) == 1
+        assert sums[0] == pytest.approx(6.0)
 
     def test_projection_matches_mean_pooling(self):
         rng = np.random.default_rng(5)
         v = rng.normal(size=37)
         sums, counts = pav_nonincreasing(v)
-        direct = _pools_to_vector(np.asarray(sums), np.asarray(counts), 37)
+        direct = _pools_to_vector(sums, counts, 37)
         # isotone projection is idempotent and sum-preserving per block
         assert direct.sum() == pytest.approx(v.sum())
         assert np.all(np.diff(direct) <= 1e-12)
 
 
-class TestEnvironmentFlag:
-    def test_flag_disables_jit(self):
-        code = (
-            "import os; os.environ['CLUSTERLASSO_NO_NUMBA'] = '1';"
-            "from clusterlasso import _kernels;"
-            "assert not _kernels.NUMBA_ENABLED;"
-            "assert _kernels.pav_nonincreasing is _kernels.pav_nonincreasing_py;"
-            "import numpy as np;"
-            "from clusterlasso.prox import prox_clustered, Penalties;"
-            "r = prox_clustered(np.array([0.0, 10.0]), Penalties(0.0, 1.0));"
-            "assert np.allclose(r.prox, [1.0, 9.0])"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True)
+class TestImportFootprint:
+    def test_no_jit_or_scipy_optimize(self):
+        """Importing the package loads neither numba nor scipy.optimize.
 
-    def test_flag_off_values(self):
+        scipy.optimize pulls in scipy.spatial, scipy.fft and
+        scipy.sparse.linalg, which raises a solver process's peak RSS by
+        about a fifth on the small benchmark instances.
+        """
         code = (
-            "import os; os.environ['CLUSTERLASSO_NO_NUMBA'] = '0';"
-            "from clusterlasso import _kernels;"
-            "import numba;"  # noqa -- only to confirm numba importable here
-            "assert _kernels.NUMBA_ENABLED"
+            "import importlib, pkgutil, sys\n"
+            "import clusterlasso\n"
+            "for m in pkgutil.iter_modules(clusterlasso.__path__):\n"
+            "    importlib.import_module('clusterlasso.' + m.name)\n"
+            "loaded = sorted(n for n in ('numba', 'scipy.optimize')\n"
+            "                if n in sys.modules)\n"
+            "assert not loaded, loaded\n"
         )
-        subprocess.run([sys.executable, "-c", code], check=True)
-
-    def test_warmup_runs(self):
-        _kernels.warmup()
+        src = os.path.dirname(os.path.dirname(clusterlasso.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
