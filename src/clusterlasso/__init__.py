@@ -15,15 +15,12 @@ from .data import (LibsvmParseError, ScenarioSpec, SyntheticProblem,
 from .first_order import (FirstOrderConfig, apg_solve, d_admm_solve,
                           estimate_lipschitz, p_admm_solve)
 from .jacobian import ProxJacobian, build_jacobian, design_factors
-from .linalg import (CgControls, DesignMatrix, MaxItersExceeded, cg_solve,
-                     smw_solve)
-from .metrics import (MetricsReport, duality_metrics, eta_kkt, eta_rel, gnnz,
-                      nnz, report)
+from .linalg import CgControls, DesignMatrix, MaxItersExceeded, cg_solve
+from .metrics import duality_metrics, eta_kkt, eta_rel, gnnz, nnz
 from .problem import ProblemData
 from .prox import (BlockPartition, Penalties, ProxResult, ordered_weights,
                    penalty_value, project_nonincreasing, prox_clustered,
                    prox_conjugate, prox_pairwise, prox_scaled, soft_threshold)
-from .ssnal_dual import MaxNewtonIters, ssn_solve
 from .ssnal_dual import solve as solve_dual
 from .ssnal_primal import solve_primal
 
@@ -32,15 +29,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockPartition", "CgControls", "CONVERGED", "DesignMatrix", "DualState",
     "FirstOrderConfig", "LibsvmParseError", "MAX_ITERS", "MAX_TIME",
-    "MaxItersExceeded", "MaxNewtonIters", "MetricsReport", "Penalties",
-    "PrimalState", "ProblemData", "ProxJacobian", "ProxResult",
-    "ScenarioSpec", "Solution", "SolverConfig", "SsnControls",
+    "MaxItersExceeded", "Penalties", "PrimalState", "ProblemData",
+    "ProxJacobian", "ProxResult", "ScenarioSpec", "Solution", "SolverConfig", "SsnControls",
     "SyntheticProblem", "apg_solve", "build_jacobian", "cg_solve",
     "d_admm_solve", "design_factors", "duality_metrics", "estimate_lipschitz",
     "eta_kkt", "eta_rel", "generate_scenario", "gnnz", "nnz",
     "ordered_weights", "p_admm_solve", "penalties_from_alphas",
     "penalty_value", "project_nonincreasing", "prox_clustered",
     "prox_conjugate", "prox_pairwise", "prox_scaled", "read_libsvm",
-    "report", "smw_solve", "soft_threshold", "solve_dual", "solve_primal",
-    "ssn_solve", "true_coefficients", "write_libsvm",
+    "soft_threshold", "solve_dual", "solve_primal", "true_coefficients",
+    "write_libsvm",
 ]

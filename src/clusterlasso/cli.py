@@ -81,13 +81,12 @@ def _resolve_solver(name: str, data) -> str:
 def _run_solver(name: str, data, tol: float, max_time: float,
                 max_iters: Optional[int], ref_pobj: Optional[float] = None,
                 rel_tol: Optional[float] = None):
-    if name in ("ssnal-d", "ssnal-p"):
-        cfg = SolverConfig(tol=tol, max_time=max_time)
-        if max_iters is not None:
-            cfg.max_outer = max_iters
-        fn = ssnal_dual.solve if name == "ssnal-d" else ssnal_primal.solve_primal
-        return fn(data, cfg)
     kwargs = dict(tol=tol, max_time=max_time)
+    if name in ("ssnal-d", "ssnal-p"):
+        if max_iters is not None:
+            kwargs["max_outer"] = max_iters
+        fn = ssnal_dual.solve if name == "ssnal-d" else ssnal_primal.solve_primal
+        return fn(data, SolverConfig(**kwargs))
     if ref_pobj is not None:
         kwargs.update(tol_metric="rel", ref_pobj=ref_pobj, tol=rel_tol or tol)
     if max_iters is not None:

@@ -1,5 +1,7 @@
-"""Configuration and result types shared by the Newton and first-order solvers."""
+"""Configuration and result types shared by the Newton and first-order
+solvers, and the semismooth-Newton inner loop both SSNAL solvers run."""
 
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -32,6 +34,51 @@ class SsnControls:
             raise ValueError("tau must lie in (0, 1]")
         if not 0 < self.ls_shrink < 1:
             raise ValueError("ls_shrink must lie in (0, 1)")
+
+
+def newton(sub, v0, stop, ssn: SsnControls, deadline: float):
+    """Inexact semismooth Newton with an Armijo line search on one
+    augmented-Lagrangian subproblem.
+
+    sub supplies the formulation: aux(v) is the design product carried
+    along with the iterate, prox(v, aux) the prox result at v, grad and
+    value the subproblem's gradient and value, direction(pr, g, counter)
+    the Newton step for -g (CG iterations added to counter[0]) and lift(h)
+    the change of aux along h.  stop(gnorm, v, pr) decides sufficiency.
+
+    Returns (v, aux, pr, residuals, cg_iters, hit_cap); residuals holds the
+    gradient norm at every iterate, hit_cap whether max_newton ran out.
+    """
+    v = np.array(v0, dtype=np.float64)
+    aux = sub.aux(v)
+    pr = sub.prox(v, aux)
+    residuals = []
+    cg_counter = [0]
+    for _ in range(ssn.max_newton):
+        g = sub.grad(v, aux, pr)
+        gn = float(np.linalg.norm(g))
+        residuals.append(gn)
+        if stop(gn, v, pr) or time.perf_counter() > deadline:
+            return v, aux, pr, residuals, cg_counter[0], False
+        h = sub.direction(pr, g, cg_counter)
+        gh = float(g @ h)
+        if gh >= 0.0:
+            # inexact direction lost descent; fall back to steepest descent
+            h = -g
+            gh = -gn * gn
+        dh = sub.lift(h)
+        phi0 = sub.value(v, aux, pr)
+        alpha = 1.0
+        for _ in range(ssn.max_linesearch):
+            v_t = v + alpha * h
+            aux_t = aux + alpha * dh
+            pr_t = sub.prox(v_t, aux_t)
+            if sub.value(v_t, aux_t, pr_t) <= phi0 + ssn.mu * alpha * gh:
+                break
+            alpha *= ssn.ls_shrink
+        v, aux, pr = v_t, aux_t, pr_t
+    residuals.append(float(np.linalg.norm(sub.grad(v, aux, pr))))
+    return v, aux, pr, residuals, cg_counter[0], True
 
 
 @dataclass
@@ -88,7 +135,6 @@ class DualState:
     u: np.ndarray
     x: np.ndarray
     sigma: float
-    k: int = 0
 
 
 @dataclass
@@ -99,7 +145,6 @@ class PrimalState:
     z: np.ndarray
     y: np.ndarray
     sigma: float
-    k: int = 0
 
 
 @dataclass

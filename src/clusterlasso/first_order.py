@@ -89,17 +89,36 @@ def _finish(x, xi, u, data, status, iters, t0, e_rel, trace, z=None):
     pobj, dobj, e_gap, e_d = duality_metrics(x, xi, u, data)
     return Solution(
         x=x, xi=xi, u=u, pobj=pobj, dobj=dobj, eta_gap=e_gap, eta_d=e_d,
-        eta_kkt=eta_kkt(x, data), status=status, outer_iters=iters,
-        wall_time=time.perf_counter() - t0, z=z, eta_rel=e_rel,
-        obj_trace=trace)
+        eta_kkt=eta_kkt(x, data), status=status or MAX_ITERS,
+        outer_iters=iters, wall_time=time.perf_counter() - t0, z=z,
+        eta_rel=e_rel, obj_trace=trace)
 
 
-def _converged(cfg, data, x, pobj_cache):
-    """Evaluate the configured stopping rule; returns (done, eta_rel_or_None)."""
-    if cfg.tol_metric == "rel":
-        e = eta_rel(pobj_cache(), cfg.ref_pobj)
-        return e <= cfg.tol, e
-    return eta_kkt(x, data) <= cfg.tol, None
+def _check(cfg, data, x, it, trace, deadline, e_rel):
+    """Loop tail shared by the baselines: objective trace, the configured
+    stopping rule every check_every iterations, then the deadline.
+
+    Returns (status, eta_rel): status is None while the loop goes on.
+    """
+    if trace is not None:
+        trace.append((it, primal_objective(x, data)))
+    if it % cfg.check_every == 0:
+        if cfg.tol_metric == "rel":
+            e_rel = eta_rel(primal_objective(x, data), cfg.ref_pobj)
+            if e_rel <= cfg.tol:
+                return CONVERGED, e_rel
+        elif eta_kkt(x, data) <= cfg.tol:
+            return CONVERGED, e_rel
+    if time.perf_counter() > deadline:
+        return MAX_TIME, e_rel
+    return None, e_rel
+
+
+def _sigma_scale(r_feas, s_feas):
+    """Adaptive-penalty factor: double sigma while primal infeasibility
+    leads dual infeasibility tenfold, halve it in the opposite case."""
+    return 2.0 if r_feas > 10.0 * s_feas else (
+        0.5 if s_feas > 10.0 * r_feas else 1.0)
 
 
 def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
@@ -142,8 +161,7 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
             raise ValueError("linearized variant needs lin_tau > 0")
 
     trace = [] if cfg.track_objective else None
-    status = MAX_ITERS
-    e_rel = None
+    status = e_rel = None
     u_prev = u.copy()
     it = 0
     for it in range(1, cfg.max_iters + 1):
@@ -168,26 +186,16 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         x = x - cfg.kappa * sigma * (at_xi + u)
 
         if cfg.adaptive_sigma and it % 100 == 0 and cfg.variant != "linearized":
-            r_feas = float(np.linalg.norm(at_xi + u))
-            s_feas = sigma * float(np.linalg.norm(u - u_prev))
-            scale = 2.0 if r_feas > 10.0 * s_feas else (
-                0.5 if s_feas > 10.0 * r_feas else 1.0)
+            scale = _sigma_scale(float(np.linalg.norm(at_xi + u)),
+                                 sigma * float(np.linalg.norm(u - u_prev)))
             if scale != 1.0:
                 sigma *= scale
                 if cfg.variant == "exact":
                     chol = factor(sigma)
         u_prev = u
 
-        if cfg.track_objective:
-            trace.append((it, primal_objective(x, data)))
-        if it % cfg.check_every == 0:
-            done, e_rel = _converged(cfg, data, x,
-                                     lambda: primal_objective(x, data))
-            if done:
-                status = CONVERGED
-                break
-        if time.perf_counter() > deadline:
-            status = MAX_TIME
+        status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel)
+        if status:
             break
 
     return _finish(x, xi, u, data, status, it, t0, e_rel, trace)
@@ -223,8 +231,7 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     chol = factor(sigma)
 
     trace = [] if cfg.track_objective else None
-    status = MAX_ITERS
-    e_rel = None
+    status = e_rel = None
     x = np.zeros(n)
     z_prev = z.copy()
     it = 0
@@ -235,25 +242,15 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         yv = yv - cfg.kappa * sigma * (x - z)
 
         if cfg.adaptive_sigma and it % 100 == 0:
-            r_feas = float(np.linalg.norm(x - z))
-            s_feas = sigma * float(np.linalg.norm(z - z_prev))
-            scale = 2.0 if r_feas > 10.0 * s_feas else (
-                0.5 if s_feas > 10.0 * r_feas else 1.0)
+            scale = _sigma_scale(float(np.linalg.norm(x - z)),
+                                 sigma * float(np.linalg.norm(z - z_prev)))
             if scale != 1.0:
                 sigma *= scale
                 chol = factor(sigma)
         z_prev = z
 
-        if cfg.track_objective:
-            trace.append((it, primal_objective(x, data)))
-        if it % cfg.check_every == 0:
-            done, e_rel = _converged(cfg, data, x,
-                                     lambda: primal_objective(x, data))
-            if done:
-                status = CONVERGED
-                break
-        if time.perf_counter() > deadline:
-            status = MAX_TIME
+        status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel)
+        if status:
             break
 
     xi = A.matvec(z) - b
@@ -282,8 +279,7 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     t = 1.0
 
     trace = [] if cfg.track_objective else None
-    status = MAX_ITERS
-    e_rel = None
+    status = e_rel = None
     it = 0
     for it in range(1, cfg.max_iters + 1):
         grad = A.tmatvec(A.matvec(w) - b)
@@ -294,16 +290,8 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         w = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
 
-        if cfg.track_objective:
-            trace.append((it, primal_objective(x, data)))
-        if it % cfg.check_every == 0:
-            done, e_rel = _converged(cfg, data, x,
-                                     lambda: primal_objective(x, data))
-            if done:
-                status = CONVERGED
-                break
-        if time.perf_counter() > deadline:
-            status = MAX_TIME
+        status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel)
+        if status:
             break
 
     xi = A.matvec(x) - b

@@ -133,26 +133,3 @@ def cg_solve(apply, rhs: np.ndarray, ctrl: CgControls, x0=None) -> np.ndarray:
         rr = rr_new
     raise MaxItersExceeded(x, np.sqrt(rr), ctrl.max_iters)
 
-
-def smw_solve(d_inv_apply, Uf: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (D + Uf Uf^T) x = rhs given the action of D^{-1}.
-
-    Sherman-Morrison-Woodbury with the t-by-t core factorized densely;
-    t = 0 reduces to x = D^{-1} rhs.
-    """
-    import scipy.linalg as sla
-
-    rhs = np.asarray(rhs, dtype=np.float64)
-    w = d_inv_apply(rhs)
-    if Uf is None or Uf.size == 0:
-        return w
-    Uf = np.asarray(Uf, dtype=np.float64)
-    t = Uf.shape[1]
-    Z = np.column_stack([d_inv_apply(Uf[:, j]) for j in range(t)])
-    S = np.eye(t) + Uf.T @ Z
-    try:
-        q = sla.solve(S, Uf.T @ w, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular {t}x{t} SMW core system") from exc
-    return w - Z @ q

@@ -1,8 +1,5 @@
 """Optimality measures and sparsity summaries reported by every solver."""
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .problem import ProblemData
@@ -91,23 +88,3 @@ def gnnz(x: np.ndarray, zero_tol: float = 1e-4, ratio_lo: float = 5.0 / 6.0,
         groups += 1
     return groups
 
-
-@dataclass
-class MetricsReport:
-    pobj: float
-    dobj: float
-    eta_gap: float
-    eta_d: float
-    eta_kkt: float
-    nnz: int
-    gnnz: int
-    eta_rel: Optional[float] = None
-
-
-def report(x: np.ndarray, xi: np.ndarray, u: np.ndarray, data: ProblemData,
-           ref_pobj: Optional[float] = None) -> MetricsReport:
-    pobj, dobj, e_gap, e_d = duality_metrics(x, xi, u, data)
-    return MetricsReport(
-        pobj=pobj, dobj=dobj, eta_gap=e_gap, eta_d=e_d,
-        eta_kkt=eta_kkt(x, data), nnz=nnz(x), gnnz=gnnz(x),
-        eta_rel=None if ref_pobj is None else eta_rel(pobj, ref_pobj))

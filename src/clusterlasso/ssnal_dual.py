@@ -17,41 +17,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .common import (CONVERGED, MAX_ITERS, MAX_TIME, DualState, SolverConfig,
-                     Solution)
+                     Solution, newton)
 from .jacobian import ProxJacobian, build_jacobian, design_factors
 from .linalg import CgControls, cg_solve
 from .metrics import duality_metrics, eta_kkt
 from .problem import ProblemData
 from .prox import prox_clustered
-
-
-class MaxNewtonIters(RuntimeError):
-    """Inner Newton loop hit its iteration cap before meeting tolerance."""
-
-
-def subproblem_value(xi: np.ndarray, x_tilde: np.ndarray, sigma: float,
-                     data: ProblemData) -> float:
-    """Augmented-Lagrangian dual subproblem objective at xi.
-
-    The conjugate-penalty term vanishes on its domain, leaving
-    1/2||xi||^2 + <b,xi> + sigma/2 ||prox_p(x_tilde/sigma - A^T xi)||^2
-    - ||x_tilde||^2 / (2 sigma).
-    """
-    pen = data.require_penalties()
-    y = x_tilde / sigma - data.A.tmatvec(xi)
-    pv = prox_clustered(y, pen).prox
-    return (0.5 * float(xi @ xi) + float(data.b @ xi)
-            + 0.5 * sigma * float(pv @ pv)
-            - float(x_tilde @ x_tilde) / (2.0 * sigma))
-
-
-def subproblem_grad(xi: np.ndarray, x_tilde: np.ndarray, sigma: float,
-                    data: ProblemData):
-    """Gradient xi + b - sigma * A prox_p(x_tilde/sigma - A^T xi); returns (grad, ProxResult)."""
-    pen = data.require_penalties()
-    y = x_tilde / sigma - data.A.tmatvec(xi)
-    pr = prox_clustered(y, pen)
-    return xi + data.b - sigma * data.A.matvec(pr.prox), pr
 
 
 def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
@@ -98,72 +69,46 @@ def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
     return cg_solve(apply, rhs, ctrl)
 
 
-def _ssn(data: ProblemData, x_tilde: np.ndarray, sigma: float,
-         xi0: np.ndarray, cfg: SolverConfig, stop, deadline: float):
-    """Inner Newton loop; stop(gnorm, pr) decides sufficiency.
+class DualSubproblem:
+    """The dual augmented-Lagrangian subproblem in xi at (x_tilde, sigma):
 
-    Returns (xi, pr, y, residuals, cg_iters, hit_cap).
+    psi(xi) = 1/2||xi||^2 + <b,xi> + sigma/2 ||prox_p(y)||^2
+              - ||x_tilde||^2 / (2 sigma),
+
+    with y = x_tilde/sigma - A^T xi (the aux vector `newton` carries) and
+    gradient xi + b - sigma A prox_p(y); the conjugate-penalty term
+    vanishes on its domain.
     """
-    pen = data.require_penalties()
-    A, b = data.A, data.b
-    ssn = cfg.ssn
-    xi = np.array(xi0, dtype=np.float64)
-    at_xi = A.tmatvec(xi)
-    y = x_tilde / sigma - at_xi
-    pr = prox_clustered(y, pen)
-    const = -float(x_tilde @ x_tilde) / (2.0 * sigma)
-    residuals = []
-    cg_counter = [0]
-    for j in range(ssn.max_newton):
-        g = xi + b - sigma * A.matvec(pr.prox)
-        gn = float(np.linalg.norm(g))
-        residuals.append(gn)
-        if stop(gn, pr) or time.perf_counter() > deadline:
-            return xi, pr, y, residuals, cg_counter[0], False
-        jac = build_jacobian(pr, pen, cfg.ties_tol)
-        h = solve_newton_system(jac, A, sigma, -g, cfg, counter=cg_counter)
-        gh = float(g @ h)
-        if gh >= 0.0:
-            # inexact direction lost descent; fall back to steepest descent
-            h = -g
-            gh = -gn * gn
-        at_h = A.tmatvec(h)
-        psi0 = (0.5 * float(xi @ xi) + float(b @ xi)
-                + 0.5 * sigma * float(pr.prox @ pr.prox) + const)
-        alpha = 1.0
-        for _ in range(ssn.max_linesearch):
-            xi_t = xi + alpha * h
-            y_t = y - alpha * at_h
-            pr_t = prox_clustered(y_t, pen)
-            psi_t = (0.5 * float(xi_t @ xi_t) + float(b @ xi_t)
-                     + 0.5 * sigma * float(pr_t.prox @ pr_t.prox) + const)
-            if psi_t <= psi0 + ssn.mu * alpha * gh:
-                break
-            alpha *= ssn.ls_shrink
-        xi, y, pr = xi_t, y_t, pr_t
-    g = xi + b - sigma * A.matvec(pr.prox)
-    residuals.append(float(np.linalg.norm(g)))
-    return xi, pr, y, residuals, cg_counter[0], True
 
+    def __init__(self, data: ProblemData, x_tilde: np.ndarray, sigma: float,
+                 cfg: SolverConfig):
+        self.data = data
+        self.pen = data.require_penalties()
+        self.sigma = sigma
+        self.cfg = cfg
+        self.x_over_sigma = x_tilde / sigma
+        self.const = -float(x_tilde @ x_tilde) / (2.0 * sigma)
 
-def ssn_solve(x_tilde: np.ndarray, sigma: float, xi0: np.ndarray,
-              data: ProblemData, cfg: Optional[SolverConfig] = None,
-              tol: float = 1e-8):
-    """Minimize the dual subproblem until ||grad|| <= tol.
+    def aux(self, xi):
+        return self.x_over_sigma - self.data.A.tmatvec(xi)
 
-    Returns (xi, ProxResult, newton_iters); raises MaxNewtonIters when the
-    cap is hit first.
-    """
-    cfg = cfg or SolverConfig()
-    xi, pr, _, residuals, _, hit_cap = _ssn(
-        data, np.asarray(x_tilde, dtype=np.float64), sigma,
-        np.asarray(xi0, dtype=np.float64), cfg,
-        stop=lambda gn, _pr: gn <= tol,
-        deadline=time.perf_counter() + cfg.max_time)
-    if hit_cap:
-        raise MaxNewtonIters(
-            f"inner Newton cap {cfg.ssn.max_newton} hit (residual {residuals[-1]:.3e})")
-    return xi, pr, len(residuals) - 1
+    def prox(self, xi, y):
+        return prox_clustered(y, self.pen)
+
+    def grad(self, xi, y, pr):
+        return xi + self.data.b - self.sigma * self.data.A.matvec(pr.prox)
+
+    def value(self, xi, y, pr):
+        return (0.5 * float(xi @ xi) + float(self.data.b @ xi)
+                + 0.5 * self.sigma * float(pr.prox @ pr.prox) + self.const)
+
+    def direction(self, pr, g, counter):
+        jac = build_jacobian(pr, self.pen, self.cfg.ties_tol)
+        return solve_newton_system(jac, self.data.A, self.sigma, -g, self.cfg,
+                                   counter=counter)
+
+    def lift(self, h):
+        return -self.data.A.tmatvec(h)
 
 
 def solve(data: ProblemData, cfg: Optional[SolverConfig] = None,
@@ -181,7 +126,6 @@ def solve(data: ProblemData, cfg: Optional[SolverConfig] = None,
     max(eta_gap, eta_d, eta_kkt) <= cfg.tol.
     """
     cfg = cfg or SolverConfig()
-    pen = data.require_penalties()
     A, b = data.A, data.b
     t0 = time.perf_counter()
     deadline = t0 + cfg.max_time
@@ -213,20 +157,19 @@ def solve(data: ProblemData, cfg: Optional[SolverConfig] = None,
         eps_k = cfg.eps_k(k)
         delta_k = cfg.delta_k(k)
         deltap_k = cfg.delta_prime_k(k)
-        x_over_sigma = x / sigma
         sqrt_sigma = np.sqrt(sigma)
+        sub = DualSubproblem(data, x, sigma, cfg)
 
-        def stop(gn, pr, _xs=x_over_sigma, _eps=eps_k, _d=delta_k,
-                 _dp=deltap_k, _ss=sqrt_sigma):
+        def stop(gn, _xi, pr):
             if gn <= floor:
                 return True
-            if gn > _eps / _ss:
+            if gn > eps_k / sqrt_sigma:
                 return False
-            feas = float(np.linalg.norm(_xs - pr.prox))
-            return gn <= min(_d * _ss, _dp) * feas
+            feas = float(np.linalg.norm(sub.x_over_sigma - pr.prox))
+            return gn <= min(delta_k * sqrt_sigma, deltap_k) * feas
 
-        xi, pr, y, residuals, ncg, hit_cap = _ssn(data, x, sigma, xi, cfg,
-                                                  stop, deadline)
+        xi, y, pr, residuals, ncg, hit_cap = newton(sub, xi, stop, cfg.ssn,
+                                                    deadline)
         newton_residuals.append(residuals)
         total_newton += len(residuals) - 1
         total_cg += ncg

@@ -18,41 +18,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .common import (CONVERGED, MAX_ITERS, MAX_TIME, PrimalState,
-                     SolverConfig, Solution)
+                     SolverConfig, Solution, newton)
 from .jacobian import ProxJacobian, build_jacobian
 from .linalg import CgControls, cg_solve
 from .metrics import duality_metrics, eta_kkt
 from .problem import ProblemData
 from .prox import penalty_value, prox_clustered, prox_conjugate
-
-
-def subproblem_grad_primal(x: np.ndarray, x_tilde: np.ndarray,
-                           y_tilde: np.ndarray, sigma: float,
-                           data: ProblemData):
-    """Gradient of the primal subproblem at x; returns (grad, ProxResult).
-
-    The ProxResult is taken at sigma * x - y_tilde, the same point whose
-    Jacobian feeds the Newton system.
-    """
-    pen = data.require_penalties()
-    pr = prox_clustered(sigma * x - y_tilde, pen)
-    g = (data.A.tmatvec(data.A.matvec(x) - data.b)
-         + (sigma + 1.0 / sigma) * x - (y_tilde + x_tilde / sigma) - pr.prox)
-    return g, pr
-
-
-def subproblem_value_primal(x: np.ndarray, x_tilde: np.ndarray,
-                            y_tilde: np.ndarray, sigma: float,
-                            data: ProblemData) -> float:
-    """Primal augmented-Lagrangian value at x with z eliminated via the prox."""
-    pen = data.require_penalties()
-    z = prox_clustered(sigma * x - y_tilde, pen).prox / sigma
-    r = data.A.matvec(x) - data.b
-    d = x - z
-    dx = x - x_tilde
-    return (0.5 * float(r @ r) + penalty_value(z, pen)
-            - float(y_tilde @ d) + 0.5 * sigma * float(d @ d)
-            + float(dx @ dx) / (2.0 * sigma))
 
 
 def solve_newton_system_primal(jac: ProxJacobian, A, sigma: float,
@@ -93,57 +64,59 @@ def solve_newton_system_primal(jac: ProxJacobian, A, sigma: float,
     return cg_solve(apply, rhs, ctrl)
 
 
-def _ssn_primal(data: ProblemData, x_tilde: np.ndarray, y_tilde: np.ndarray,
-                sigma: float, cfg: SolverConfig, stop, deadline: float,
-                gram: Optional[np.ndarray]):
-    """Inner Newton loop on x; stop(gnorm, x, pr) decides sufficiency."""
-    pen = data.require_penalties()
-    A, b = data.A, data.b
-    ssn = cfg.ssn
-    x = np.array(x_tilde, dtype=np.float64)
-    ax = A.matvec(x)
-    pr = prox_clustered(sigma * x - y_tilde, pen)
-    shift = y_tilde + x_tilde / sigma
-    coef = sigma + 1.0 / sigma
-    residuals = []
-    cg_counter = [0]
+class PrimalSubproblem:
+    """The primal augmented-Lagrangian subproblem in x at
+    (x_tilde, y_tilde, sigma), with z = prox_p(sigma x - y_tilde) / sigma
+    eliminated:
 
-    def value(x_v, ax_v, pr_v):
-        z = pr_v.prox / sigma
-        r = ax_v - b
-        d = x_v - z
-        dx = x_v - x_tilde
-        return (0.5 * float(r @ r) + penalty_value(z, pen)
-                - float(y_tilde @ d) + 0.5 * sigma * float(d @ d)
+    phi(x) = 1/2||Ax - b||^2 + p(z) - <y_tilde, x - z> + sigma/2 ||x - z||^2
+             + ||x - x_tilde||^2 / (2 sigma).
+
+    Its gradient is the one in the module docstring.  Ax is the aux vector
+    `newton` carries; gram (A^T A or None) picks the Newton-system route.
+    """
+
+    def __init__(self, data: ProblemData, x_tilde: np.ndarray,
+                 y_tilde: np.ndarray, sigma: float, cfg: SolverConfig,
+                 gram: Optional[np.ndarray]):
+        self.data = data
+        self.pen = data.require_penalties()
+        self.x_tilde = x_tilde
+        self.y_tilde = y_tilde
+        self.sigma = sigma
+        self.cfg = cfg
+        self.gram = gram
+        self.shift = y_tilde + x_tilde / sigma
+        self.coef = sigma + 1.0 / sigma
+
+    def aux(self, x):
+        return self.data.A.matvec(x)
+
+    def prox(self, x, ax):
+        return prox_clustered(self.sigma * x - self.y_tilde, self.pen)
+
+    def grad(self, x, ax, pr):
+        return (self.data.A.tmatvec(ax - self.data.b) + self.coef * x
+                - self.shift - pr.prox)
+
+    def value(self, x, ax, pr):
+        sigma = self.sigma
+        z = pr.prox / sigma
+        r = ax - self.data.b
+        d = x - z
+        dx = x - self.x_tilde
+        return (0.5 * float(r @ r) + penalty_value(z, self.pen)
+                - float(self.y_tilde @ d) + 0.5 * sigma * float(d @ d)
                 + float(dx @ dx) / (2.0 * sigma))
 
-    for j in range(ssn.max_newton):
-        g = A.tmatvec(ax - b) + coef * x - shift - pr.prox
-        gn = float(np.linalg.norm(g))
-        residuals.append(gn)
-        if stop(gn, x, pr) or time.perf_counter() > deadline:
-            return x, pr, residuals, cg_counter[0], False
-        jac = build_jacobian(pr, pen, cfg.ties_tol)
-        h = solve_newton_system_primal(jac, A, sigma, -g, cfg, gram,
-                                       counter=cg_counter)
-        gh = float(g @ h)
-        if gh >= 0.0:
-            h = -g
-            gh = -gn * gn
-        ah = A.matvec(h)
-        phi0 = value(x, ax, pr)
-        alpha = 1.0
-        for _ in range(ssn.max_linesearch):
-            x_t = x + alpha * h
-            ax_t = ax + alpha * ah
-            pr_t = prox_clustered(sigma * x_t - y_tilde, pen)
-            if value(x_t, ax_t, pr_t) <= phi0 + ssn.mu * alpha * gh:
-                break
-            alpha *= ssn.ls_shrink
-        x, ax, pr = x_t, ax_t, pr_t
-    g = A.tmatvec(ax - b) + coef * x - shift - pr.prox
-    residuals.append(float(np.linalg.norm(g)))
-    return x, pr, residuals, cg_counter[0], True
+    def direction(self, pr, g, counter):
+        jac = build_jacobian(pr, self.pen, self.cfg.ties_tol)
+        return solve_newton_system_primal(jac, self.data.A, self.sigma, -g,
+                                          self.cfg, self.gram,
+                                          counter=counter)
+
+    def lift(self, h):
+        return self.data.A.matvec(h)
 
 
 def solve_primal(data: ProblemData, cfg: Optional[SolverConfig] = None,
@@ -201,8 +174,8 @@ def solve_primal(data: ProblemData, cfg: Optional[SolverConfig] = None,
                            + float((y_c - _y) @ (y_c - _y)))
             return gn <= (_eps / _s) * min(1.0, step)
 
-        x, pr, residuals, ncg, _ = _ssn_primal(data, x, yv, sigma, cfg, stop,
-                                               deadline, gram)
+        sub = PrimalSubproblem(data, x, yv, sigma, cfg, gram)
+        x, _, pr, residuals, ncg, _ = newton(sub, x, stop, cfg.ssn, deadline)
         newton_residuals.append(residuals)
         total_newton += len(residuals) - 1
         total_cg += ncg

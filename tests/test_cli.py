@@ -111,6 +111,16 @@ class TestSolve:
                             "--alpha1", "0.1", "--alpha2", "0.1")
         assert code == 2
 
+    @pytest.mark.parametrize("solver", ["ssnal-d", "ssnal-p", "apg"])
+    def test_zero_max_iters_exits_2(self, capsys, solver):
+        code, out, err = _run(
+            capsys, "solve", "--scenario", "1", "--k", "1", "--seed", "0",
+            "--m-override", "60", "--alpha1", "5e-2", "--alpha2", "1e-2",
+            "--solver", solver, "--max-iters", "0")
+        assert code == 2
+        assert out == ""
+        assert "must be >= 1" in err
+
     def test_nonconverged_exits_1(self, capsys):
         code, out, _ = _run(
             capsys, "solve", "--scenario", "1", "--k", "1", "--seed", "0",

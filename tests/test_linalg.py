@@ -1,4 +1,4 @@
-"""Tests for the design-matrix wrapper, CG, and the low-rank update solver."""
+"""Tests for the design-matrix wrapper and CG."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from clusterlasso.linalg import (
     DesignMatrix,
     MaxItersExceeded,
     cg_solve,
-    smw_solve,
 )
 
 
@@ -167,31 +166,3 @@ class TestCgSolve:
         x = cg_solve(lambda v: H @ v, rhs, CgControls(rel_tol=0.0, abs_tol=1e-3))
         assert np.linalg.norm(H @ x - rhs) <= 1e-3
 
-
-class TestSmwSolve:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_dense_solve(self, seed):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(3, 25))
-        t = int(rng.integers(0, min(m, 6)))
-        d = rng.uniform(0.5, 2.0, size=m)
-        U = rng.normal(size=(m, t))
-        rhs = rng.normal(size=m)
-        got = smw_solve(lambda v: v / d, U, rhs)
-        want = np.linalg.solve(np.diag(d) + U @ U.T, rhs)
-        np.testing.assert_allclose(got, want, atol=1e-9, rtol=1e-9)
-
-    def test_rank_zero_is_diagonal_solve(self):
-        d = np.array([2.0, 4.0])
-        rhs = np.array([2.0, 8.0])
-        np.testing.assert_allclose(
-            smw_solve(lambda v: v / d, np.zeros((2, 0)), rhs), [1.0, 2.0])
-        np.testing.assert_allclose(
-            smw_solve(lambda v: v / d, None, rhs), [1.0, 2.0])
-
-    def test_identity_plus_rank_one(self):
-        u = np.array([[1.0], [1.0]])
-        rhs = np.array([1.0, 0.0])
-        got = smw_solve(lambda v: v, u, rhs)
-        want = np.linalg.solve(np.eye(2) + u @ u.T, rhs)
-        np.testing.assert_allclose(got, want)

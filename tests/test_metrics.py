@@ -12,7 +12,6 @@ from clusterlasso.metrics import (
     gnnz,
     nnz,
     primal_objective,
-    report,
 )
 from clusterlasso.problem import ProblemData
 from clusterlasso.prox import Penalties
@@ -177,20 +176,3 @@ class TestGnnz:
         with pytest.raises(ValueError):
             gnnz(np.ones(3), ratio_lo=1.5)
 
-
-class TestReport:
-    def test_fields_populated(self):
-        data = _toy_problem(0.1, 0.05)
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=2)
-        xi = data.A.matvec(x) - data.b
-        u = -data.A.tmatvec(xi)
-        rep = report(x, xi, u, data)
-        assert rep.pobj == pytest.approx(primal_objective(x, data))
-        assert rep.eta_rel is None
-        assert rep.nnz >= 0 and rep.gnnz >= 0
-
-    def test_reference_objective(self):
-        data = _toy_problem(0.1, 0.05)
-        rep = report(np.zeros(2), np.zeros(3), np.zeros(2), data, ref_pobj=1.0)
-        assert rep.eta_rel == pytest.approx((rep.pobj - 1.0) / 2.0)

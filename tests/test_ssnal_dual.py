@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
-from clusterlasso.common import CONVERGED, DualState, SolverConfig, SsnControls
+from clusterlasso.common import (
+    CONVERGED,
+    DualState,
+    SolverConfig,
+    SsnControls,
+    newton,
+)
 from clusterlasso.jacobian import build_jacobian
 from clusterlasso.linalg import DesignMatrix
 from clusterlasso.metrics import primal_objective
 from clusterlasso.problem import ProblemData
 from clusterlasso.prox import Penalties, prox_clustered
-from clusterlasso.ssnal_dual import (
-    MaxNewtonIters,
-    solve,
-    solve_newton_system,
-    ssn_solve,
-    subproblem_grad,
-    subproblem_value,
-)
+from clusterlasso.ssnal_dual import DualSubproblem, solve, solve_newton_system
 from oracles import dense_matrix_from_apply, prox_oracle
 
 
@@ -36,13 +35,27 @@ def _fd_gradient(f, xi, h=1e-6):
     return g
 
 
+def _subproblem(data, x_tilde, sigma, cfg=None):
+    return DualSubproblem(data, x_tilde, sigma, cfg or SolverConfig())
+
+
+def _value(sub, xi):
+    y = sub.aux(xi)
+    return sub.value(xi, y, sub.prox(xi, y))
+
+
+def _grad(sub, xi):
+    y = sub.aux(xi)
+    pr = sub.prox(xi, y)
+    return sub.grad(xi, y, pr), pr
+
+
 class TestSubproblem:
     def test_value_at_origin(self):
         data = _random_problem(0)
-        x_tilde = np.zeros(8)
-        sigma = 2.0
+        sub = _subproblem(data, np.zeros(8), 2.0)
         # with x_tilde = 0 and xi = 0 the value is sigma/2 ||prox(0)||^2 = 0
-        assert subproblem_value(np.zeros(12), x_tilde, sigma, data) == 0.0
+        assert _value(sub, np.zeros(12)) == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_gradient_matches_finite_differences(self, seed):
@@ -51,35 +64,40 @@ class TestSubproblem:
         x_tilde = rng.normal(size=8)
         sigma = float(rng.uniform(0.5, 3.0))
         xi = rng.normal(size=12)
-        g, _ = subproblem_grad(xi, x_tilde, sigma, data)
-        fd = _fd_gradient(
-            lambda z: subproblem_value(z, x_tilde, sigma, data), xi)
+        sub = _subproblem(data, x_tilde, sigma)
+        g, _ = _grad(sub, xi)
+        fd = _fd_gradient(lambda z: _value(sub, z), xi)
         np.testing.assert_allclose(g, fd, atol=1e-5, rtol=1e-5)
 
     def test_strong_convexity(self):
         # psi(mid) <= (psi(a) + psi(b))/2 - ||a - b||^2 / 8 (modulus 1)
         rng = np.random.default_rng(42)
         data = _random_problem(9)
-        x_tilde = rng.normal(size=8)
+        sub = _subproblem(data, rng.normal(size=8), 1.3)
         for _ in range(20):
             a = rng.normal(size=12)
             b2 = rng.normal(size=12)
             mid = 0.5 * (a + b2)
-            va = subproblem_value(a, x_tilde, 1.3, data)
-            vb = subproblem_value(b2, x_tilde, 1.3, data)
-            vm = subproblem_value(mid, x_tilde, 1.3, data)
             gap = float(np.sum((a - b2) ** 2)) / 8.0
-            assert vm <= 0.5 * (va + vb) - gap + 1e-10
+            assert (_value(sub, mid)
+                    <= 0.5 * (_value(sub, a) + _value(sub, b2)) - gap + 1e-10)
 
     def test_gradient_prox_result_consistent(self):
         data = _random_problem(3)
         rng = np.random.default_rng(3)
         xi = rng.normal(size=12)
         x_tilde = rng.normal(size=8)
-        g, pr = subproblem_grad(xi, x_tilde, 1.7, data)
+        sub = _subproblem(data, x_tilde, 1.7)
+        g, pr = _grad(sub, xi)
         y = x_tilde / 1.7 - data.A.tmatvec(xi)
         np.testing.assert_allclose(
             pr.prox, prox_clustered(y, data.penalties).prox)
+        np.testing.assert_allclose(
+            g, xi + data.b - 1.7 * data.A.matvec(pr.prox))
+        # the line search moves y along lift(h) = -A^T h
+        h = rng.normal(size=12)
+        np.testing.assert_allclose(sub.aux(xi) + 0.3 * sub.lift(h),
+                                   sub.aux(xi + 0.3 * h), atol=1e-12)
 
 
 class TestNewtonSystem:
@@ -126,31 +144,46 @@ class TestNewtonSystem:
         assert counter[0] > 0
 
 
+def _inner(data, x_tilde, sigma, tol, cfg=None):
+    """Run `newton` on the dual subproblem from xi = 0 to ||grad|| <= tol."""
+    cfg = cfg or SolverConfig()
+    sub = DualSubproblem(data, x_tilde, sigma, cfg)
+    return sub, newton(sub, np.zeros(data.A.m), lambda gn, _xi, _pr: gn <= tol,
+                       cfg.ssn, deadline=np.inf)
+
+
 class TestInnerNewton:
     def test_reaches_tight_tolerance(self):
         data = _random_problem(5)
         rng = np.random.default_rng(5)
-        x_tilde = rng.normal(size=8)
-        xi, pr, iters = ssn_solve(x_tilde, 2.0, np.zeros(12), data, tol=1e-10)
-        g, _ = subproblem_grad(xi, x_tilde, 2.0, data)
+        sub, (xi, y, pr, residuals, _, hit_cap) = _inner(
+            data, rng.normal(size=8), 2.0, 1e-10)
+        assert not hit_cap
+        # y is carried along the line search, not recomputed from xi
+        np.testing.assert_allclose(y, sub.aux(xi), atol=1e-12)
+        assert residuals[-1] <= 1e-10
+        g, _ = _grad(sub, xi)
         assert np.linalg.norm(g) <= 1e-10
-        assert 0 < iters <= 50
+        assert 0 < len(residuals) - 1 <= 50
 
     def test_minimizer_beats_neighbors(self):
         data = _random_problem(6)
         rng = np.random.default_rng(6)
-        x_tilde = rng.normal(size=8)
-        xi, _, _ = ssn_solve(x_tilde, 1.0, np.zeros(12), data, tol=1e-11)
-        base = subproblem_value(xi, x_tilde, 1.0, data)
+        sub, (xi, *_) = _inner(data, rng.normal(size=8), 1.0, 1e-11)
+        base = _value(sub, xi)
         for _ in range(25):
             other = xi + 1e-4 * rng.normal(size=12)
-            assert base <= subproblem_value(other, x_tilde, 1.0, data) + 1e-14
+            assert base <= _value(sub, other) + 1e-14
 
-    def test_cap_raises(self):
+    def test_cap_sets_hit_cap(self):
         data = _random_problem(7)
         cfg = SolverConfig(ssn=SsnControls(max_newton=1))
-        with pytest.raises(MaxNewtonIters):
-            ssn_solve(np.ones(8), 1.0, np.zeros(12), data, cfg=cfg, tol=1e-14)
+        _, (*_, residuals, _, hit_cap) = _inner(data, np.ones(8), 1.0, 1e-14,
+                                                cfg)
+        assert hit_cap
+        # one step taken; the last entry is the residual where it stopped
+        assert len(residuals) == 2
+        assert residuals[-1] > 1e-14
 
 
 class TestOuterLoop:

@@ -11,10 +11,9 @@ from clusterlasso.problem import ProblemData
 from clusterlasso.prox import Penalties, prox_clustered
 from clusterlasso.ssnal_dual import solve as solve_dual
 from clusterlasso.ssnal_primal import (
+    PrimalSubproblem,
     solve_newton_system_primal,
     solve_primal,
-    subproblem_grad_primal,
-    subproblem_value_primal,
 )
 from oracles import dense_matrix_from_apply
 
@@ -26,6 +25,17 @@ def _tall_problem(seed, m=30, n=6, beta=0.3, rho=0.1):
     return ProblemData(A, b, Penalties(beta, rho))
 
 
+def _value(sub, x):
+    ax = sub.aux(x)
+    return sub.value(x, ax, sub.prox(x, ax))
+
+
+def _grad(sub, x):
+    ax = sub.aux(x)
+    pr = sub.prox(x, ax)
+    return sub.grad(x, ax, pr), pr
+
+
 class TestSubproblem:
     @pytest.mark.parametrize("seed", range(6))
     def test_gradient_matches_finite_differences(self, seed):
@@ -35,15 +45,15 @@ class TestSubproblem:
         y_tilde = rng.normal(size=5)
         sigma = float(rng.uniform(0.5, 3.0))
         x = rng.normal(size=5)
-        g, _ = subproblem_grad_primal(x, x_tilde, y_tilde, sigma, data)
+        sub = PrimalSubproblem(data, x_tilde, y_tilde, sigma, SolverConfig(),
+                               None)
+        g, _ = _grad(sub, x)
         h = 1e-6
         fd = np.zeros(5)
         for i in range(5):
             e = np.zeros(5)
             e[i] = h
-            fd[i] = (subproblem_value_primal(x + e, x_tilde, y_tilde, sigma, data)
-                     - subproblem_value_primal(x - e, x_tilde, y_tilde, sigma,
-                                               data)) / (2 * h)
+            fd[i] = (_value(sub, x + e) - _value(sub, x - e)) / (2 * h)
         np.testing.assert_allclose(g, fd, atol=1e-5, rtol=1e-5)
 
     def test_value_meaning_at_consistent_point(self):
@@ -51,8 +61,25 @@ class TestSubproblem:
         # the plain objective at z plus the residual coupling terms
         data = _tall_problem(1, m=8, n=4)
         x = np.zeros(4)
-        v = subproblem_value_primal(x, x, np.zeros(4), 1.0, data)
-        assert v == pytest.approx(0.5 * float(data.b @ data.b))
+        sub = PrimalSubproblem(data, x, np.zeros(4), 1.0, SolverConfig(), None)
+        assert _value(sub, x) == pytest.approx(0.5 * float(data.b @ data.b))
+
+    def test_gradient_prox_result_consistent(self):
+        # the prox result is taken at sigma x - y_tilde, the point whose
+        # Jacobian feeds the Newton system; Ax moves along lift(h) = A h
+        rng = np.random.default_rng(4)
+        data = _tall_problem(4, m=10, n=5)
+        x_tilde, y_tilde, x, h = rng.normal(size=(4, 5))
+        sub = PrimalSubproblem(data, x_tilde, y_tilde, 1.5, SolverConfig(),
+                               None)
+        g, pr = _grad(sub, x)
+        want = prox_clustered(1.5 * x - y_tilde, data.penalties).prox
+        np.testing.assert_allclose(pr.prox, want)
+        np.testing.assert_allclose(
+            g, data.A.tmatvec(data.A.matvec(x) - data.b)
+            + (1.5 + 1.0 / 1.5) * x - (y_tilde + x_tilde / 1.5) - want)
+        np.testing.assert_allclose(sub.aux(x) + 0.3 * sub.lift(h),
+                                   sub.aux(x + 0.3 * h), atol=1e-12)
 
 
 class TestNewtonSystemPrimal:
