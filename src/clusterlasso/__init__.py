@@ -7,8 +7,8 @@ m >> n), plus ADMM and accelerated proximal-gradient baselines.  The key
 primitive everywhere is the O(n log n) proximal mapping `prox_clustered`.
 """
 
-from .common import (CONVERGED, MAX_ITERS, MAX_TIME, DualState, PrimalState,
-                     Solution, SolverConfig, SsnControls)
+from .common import (CONVERGED, MAX_ITERS, MAX_TIME, Solution, SolverConfig,
+                     SsnControls)
 from .data import (LibsvmParseError, ScenarioSpec, SyntheticProblem,
                    generate_scenario, penalties_from_alphas, read_libsvm,
                    true_coefficients, write_libsvm)
@@ -27,10 +27,10 @@ from .ssnal_primal import solve_primal
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPartition", "CgControls", "CONVERGED", "DesignMatrix", "DualState",
+    "BlockPartition", "CgControls", "CONVERGED", "DesignMatrix",
     "FirstOrderConfig", "LibsvmParseError", "MAX_ITERS", "MAX_TIME",
-    "MaxItersExceeded", "Penalties", "PrimalState", "ProblemData",
-    "ProxJacobian", "ProxResult", "ScenarioSpec", "Solution", "SolverConfig", "SsnControls",
+    "MaxItersExceeded", "Penalties", "ProblemData", "ProxJacobian",
+    "ProxResult", "ScenarioSpec", "Solution", "SolverConfig", "SsnControls",
     "SyntheticProblem", "apg_solve", "build_jacobian", "cg_solve",
     "d_admm_solve", "design_factors", "duality_metrics", "estimate_lipschitz",
     "eta_kkt", "eta_rel", "generate_scenario", "gnnz", "nnz",

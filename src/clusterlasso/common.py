@@ -1,5 +1,6 @@
 """Configuration and result types shared by the Newton and first-order
-solvers, and the semismooth-Newton inner loop both SSNAL solvers run."""
+solvers, and the semismooth-Newton inner loop and augmented-Lagrangian
+outer loop both SSNAL solvers run."""
 
 import time
 from dataclasses import dataclass, field
@@ -81,70 +82,100 @@ def newton(sub, v0, stop, ssn: SsnControls, deadline: float):
     return v, aux, pr, residuals, cg_counter[0], True
 
 
+# sigma schedule of the outer loop: x3 growth per accepted step, capped at
+# SIGMA_MAX and by a ceiling that a rejected step lowers; /4 backoff
+# floored at SIGMA_MIN.
+SIGMA_GROWTH = 3.0
+SIGMA_MAX = 1e6
+SIGMA_SHRINK = 4.0
+SIGMA_MIN = 1e-8
+# inner tolerance sequences: eps_k = EPS0 0.5^k, delta_k = DELTA0 0.5^k
+EPS0 = 1.0
+DELTA0 = 0.1
+
+
+def tolerances(k: int):
+    """(eps_k, delta_k, delta'_k) after k accepted multiplier updates."""
+    return EPS0 * 0.5 ** k, DELTA0 * 0.5 ** k, 1.0 / (k + 1.0)
+
+
+def augmented_lagrangian(make_step, data, cfg) -> "Solution":
+    """Outer augmented-Lagrangian loop shared by both SSNAL solvers.
+
+    make_step(data, cfg) builds the formulation's step (inside the timed
+    window).  Per outer iteration step.inner(sigma, k, deadline) solves the
+    subproblem and returns (residuals, cg_iters, accepted), applying the
+    multiplier update only when accepted; k counts accepted updates and
+    drives `tolerances`.  step.measures() gives (pobj, dobj, eta_gap,
+    eta_d, eta_kkt) at the iterates step.x, step.xi, step.u, step.z.
+
+    sigma starts at max(1, ||b|| / sqrt(m)).  An accepted step grows it;
+    a rejected one keeps the iterates, shrinks sigma and caps later growth
+    below the level that failed, until an inner solve of at most three
+    Newton steps at the ceiling lets the ceiling double again.  Stops when
+    max(eta_gap, eta_d, eta_kkt) <= cfg.tol.
+    """
+    t0 = time.perf_counter()
+    deadline = t0 + cfg.max_time
+    sigma = max(1.0, float(np.linalg.norm(data.b)) / np.sqrt(data.A.m))
+    step = make_step(data, cfg)
+
+    status = MAX_ITERS
+    total_newton = total_cg = outer = k = 0
+    newton_residuals = []
+    pobj = dobj = e_gap = e_d = e_kkt = np.inf
+    ceiling = SIGMA_MAX
+    for outer in range(1, cfg.max_outer + 1):
+        residuals, ncg, accepted = step.inner(sigma, k, deadline)
+        newton_residuals.append(residuals)
+        total_newton += len(residuals) - 1
+        total_cg += ncg
+        k += accepted
+
+        pobj, dobj, e_gap, e_d, e_kkt = step.measures()
+        if max(e_gap, e_d, e_kkt) <= cfg.tol:
+            status = CONVERGED
+            break
+        if time.perf_counter() > deadline:
+            status = MAX_TIME
+            break
+
+        if not accepted:
+            ceiling = sigma / 2.0
+            sigma = max(SIGMA_MIN, sigma / SIGMA_SHRINK)
+            continue
+        if len(residuals) - 1 <= 3 and SIGMA_GROWTH * sigma > ceiling:
+            ceiling = min(2.0 * ceiling, SIGMA_MAX)
+        sigma = min(SIGMA_GROWTH * sigma, ceiling, SIGMA_MAX)
+
+    return Solution(
+        x=step.x, xi=step.xi, u=step.u, z=step.z, pobj=pobj, dobj=dobj,
+        eta_gap=e_gap, eta_d=e_d, eta_kkt=e_kkt, status=status,
+        outer_iters=outer, total_newton_iters=total_newton,
+        total_cg_iters=total_cg, wall_time=time.perf_counter() - t0,
+        newton_residuals=newton_residuals)
+
+
 @dataclass
 class SolverConfig:
-    """Outer augmented-Lagrangian schedule and stopping controls.
+    """Stopping and linear-solve controls of the SSNAL solvers.
 
-    sigma0 = None means max(1, ||b|| / sqrt(m)), picked at solve time.
-    Subproblem tolerance sequences: eps_k = eps0 * 0.5^k,
-    delta_k = delta0 * 0.5^k, delta_prime_k = 1 / (k + 1).
+    The sigma schedule and the inner tolerance sequences are fixed; they
+    are the module constants read by `augmented_lagrangian`.
     """
 
     tol: float = 1e-6
     max_outer: int = 100
     max_time: float = 10800.0
-    sigma0: Optional[float] = None
-    sigma_growth: float = 3.0
-    sigma_max: float = 1e6
-    sigma_shrink: float = 4.0
-    sigma_min: float = 1e-8
-    eps0: float = 1.0
-    delta0: float = 0.1
     ssn: SsnControls = field(default_factory=SsnControls)
     cg: CgControls = field(default_factory=lambda: CgControls(max_iters=500))
     dense_cap: int = 4000
-    ties_tol: float = 1e-10
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.sigma0 is not None and self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
-        if self.sigma_growth < 1 or self.sigma_max <= 0:
-            raise ValueError("bad sigma schedule")
-        if self.sigma_shrink <= 1 or not 0 < self.sigma_min <= self.sigma_max:
-            raise ValueError("bad sigma recovery bounds")
-
-    def eps_k(self, k: int) -> float:
-        return self.eps0 * 0.5 ** k
-
-    def delta_k(self, k: int) -> float:
-        return self.delta0 * 0.5 ** k
-
-    def delta_prime_k(self, k: int) -> float:
-        return 1.0 / (k + 1.0)
-
-
-@dataclass
-class DualState:
-    """Warm-start state for the dual solver."""
-
-    xi: np.ndarray
-    u: np.ndarray
-    x: np.ndarray
-    sigma: float
-
-
-@dataclass
-class PrimalState:
-    """Warm-start state for the primal solver."""
-
-    x: np.ndarray
-    z: np.ndarray
-    y: np.ndarray
-    sigma: float
 
 
 @dataclass

@@ -104,7 +104,9 @@ def _check(cfg, data, x, it, trace, deadline, e_rel):
         trace.append((it, primal_objective(x, data)))
     if it % cfg.check_every == 0:
         if cfg.tol_metric == "rel":
-            e_rel = eta_rel(primal_objective(x, data), cfg.ref_pobj)
+            pobj = (trace[-1][1] if trace is not None
+                    else primal_objective(x, data))
+            e_rel = eta_rel(pobj, cfg.ref_pobj)
             if e_rel <= cfg.tol:
                 return CONVERGED, e_rel
         elif eta_kkt(x, data) <= cfg.tol:

@@ -7,13 +7,12 @@ At a point y the prox is locally affine with matrix
 where P is the sorting permutation, Theta the diagonal 0/1 mask of the
 soft-threshold survivors, and Gamma averages over the pooled runs of the
 isotone projection (identity on un-pooled coordinates).  M is symmetric,
-idempotent, and never materialized here: we store the permutation, the mask,
-and the pooled runs, which is all the solvers need to apply M, I - M, and
+idempotent, and never materialized here: we store the free coordinates and
+the kept pooled runs, which is all the solvers need to apply M, I - M, and
 to form the two thin factors of A M A^T.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,20 +31,13 @@ class ProxJacobian:
     pool_idx/pool_offsets/pool_sizes: concatenated original coordinates of
     the pooled runs whose common value survives the threshold; M averages
     over each of those runs.
-    group_start/group_len/group_nonzero describe every pooled run (kept or
-    zeroed) in sorted coordinates, for diagnostics.
     """
 
     n: int
-    perm: Optional[np.ndarray]
-    nonzero: np.ndarray
     free_idx: np.ndarray
     pool_idx: np.ndarray
     pool_offsets: np.ndarray
     pool_sizes: np.ndarray
-    group_start: np.ndarray
-    group_len: np.ndarray
-    group_nonzero: np.ndarray
 
     @property
     def npools(self) -> int:
@@ -80,7 +72,7 @@ def build_jacobian(pr: ProxResult, pen: Penalties,
     as zeroed.
     """
     n = pr.prox.shape[0]
-    if pr.s_rho.shape[0] != n or pr.theta.shape[0] != n:
+    if pr.s_rho.shape[0] != n:
         raise ValueError("inconsistent ProxResult: field lengths differ")
     tol = ties_tol * max(1.0, pr.y_absmax)
 
@@ -89,11 +81,8 @@ def build_jacobian(pr: ProxResult, pen: Penalties,
         nonzero = np.abs(pr.s_rho) > pen.beta + tol
         empty_i = np.empty(0, dtype=np.int64)
         return ProxJacobian(
-            n=n, perm=None, nonzero=nonzero,
-            free_idx=np.flatnonzero(nonzero).astype(np.int64),
-            pool_idx=empty_i, pool_offsets=empty_i, pool_sizes=empty_i,
-            group_start=empty_i, group_len=empty_i,
-            group_nonzero=np.empty(0, dtype=bool))
+            n=n, free_idx=np.flatnonzero(nonzero).astype(np.int64),
+            pool_idx=empty_i, pool_offsets=empty_i, pool_sizes=empty_i)
 
     part = pr.partition
     if part is None or int(np.sum(part.length)) != n:
@@ -113,36 +102,21 @@ def build_jacobian(pr: ProxResult, pen: Penalties,
     run_start = part.start[run_first]
     run_nonzero = np.abs(run_val) > pen.beta + tol
 
-    nz_sorted = np.repeat(run_nonzero, run_len)
-    nonzero = np.empty(n, dtype=bool)
-    nonzero[pr.perm] = nz_sorted
-
     pooled = run_len >= 2
-    group_start = run_start[pooled].astype(np.int64)
-    group_len = run_len[pooled].astype(np.int64)
-    group_nonzero = run_nonzero[pooled]
+    free_idx = pr.perm[run_start[~pooled & run_nonzero]].astype(np.int64)
 
-    singles = ~pooled & run_nonzero
-    free_idx = pr.perm[run_start[singles]].astype(np.int64)
-
-    kept = group_nonzero
-    sizes = group_len[kept]
-    starts = group_start[kept]
-    if sizes.size:
-        pool_idx = pr.perm[np.concatenate(
-            [np.arange(s, s + l) for s, l in zip(starts, sizes)])].astype(np.int64)
-        pool_offsets = np.zeros(sizes.size, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=pool_offsets[1:])
-    else:
-        pool_idx = np.empty(0, dtype=np.int64)
-        pool_offsets = np.empty(0, dtype=np.int64)
+    kept = pooled & run_nonzero
+    sizes = run_len[kept].astype(np.int64)
+    pool_offsets = np.zeros(sizes.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=pool_offsets[1:])
+    # sorted positions of the kept runs, concatenated: start + 0..size-1
+    pos = (np.repeat(run_start[kept] - pool_offsets, sizes)
+           + np.arange(int(sizes.sum())))
+    pool_idx = pr.perm[pos].astype(np.int64)
 
     return ProxJacobian(
-        n=n, perm=pr.perm, nonzero=nonzero, free_idx=free_idx,
-        pool_idx=pool_idx, pool_offsets=pool_offsets,
-        pool_sizes=sizes.astype(np.int64),
-        group_start=group_start, group_len=group_len,
-        group_nonzero=group_nonzero)
+        n=n, free_idx=free_idx, pool_idx=pool_idx, pool_offsets=pool_offsets,
+        pool_sizes=sizes)
 
 
 def design_factors(jac: ProxJacobian, A: DesignMatrix):

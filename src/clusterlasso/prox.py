@@ -62,14 +62,12 @@ class ProxResult:
 
     perm maps sorted position -> original index; it is None on the rho = 0
     shortcut path (no sorting performed, partition is None as well).
-    theta flags the coordinates where the prox output is nonzero.
     """
 
     prox: np.ndarray
     s_rho: np.ndarray
     perm: Optional[np.ndarray]
     partition: Optional[BlockPartition]
-    theta: np.ndarray
     y_absmax: float
 
 
@@ -187,10 +185,9 @@ def prox_clustered(y: np.ndarray, pen: Penalties) -> ProxResult:
         raise ValueError("y must be nonempty")
     s, perm, part = prox_pairwise(y, pen.rho)
     prox = soft_threshold(s, pen.beta) if pen.beta != 0.0 else s.copy()
-    theta = np.abs(s) > pen.beta
     y_absmax = float(np.max(np.abs(y))) if y.size else 0.0
     return ProxResult(prox=prox, s_rho=s, perm=perm, partition=part,
-                      theta=theta, y_absmax=y_absmax)
+                      y_absmax=y_absmax)
 
 
 def prox_scaled(y: np.ndarray, t: float, pen: Penalties) -> np.ndarray:

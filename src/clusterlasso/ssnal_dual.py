@@ -10,14 +10,13 @@ the prox.  Preferred when m <= n: the Newton systems live in R^m and their
 curvature part A M A^T collapses to two thin factors.
 """
 
-import time
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 
-from .common import (CONVERGED, MAX_ITERS, MAX_TIME, DualState, SolverConfig,
-                     Solution, newton)
+from .common import (SolverConfig, Solution, augmented_lagrangian, newton,
+                     tolerances)
 from .jacobian import ProxJacobian, build_jacobian, design_factors
 from .linalg import CgControls, cg_solve
 from .metrics import duality_metrics, eta_kkt
@@ -103,7 +102,7 @@ class DualSubproblem:
                 + 0.5 * self.sigma * float(pr.prox @ pr.prox) + self.const)
 
     def direction(self, pr, g, counter):
-        jac = build_jacobian(pr, self.pen, self.cfg.ties_tol)
+        jac = build_jacobian(pr, self.pen)
         return solve_newton_system(jac, self.data.A, self.sigma, -g, self.cfg,
                                    counter=counter)
 
@@ -111,99 +110,52 @@ class DualSubproblem:
         return -self.data.A.tmatvec(h)
 
 
-def solve(data: ProblemData, cfg: Optional[SolverConfig] = None,
-          warm: Optional[DualState] = None) -> Solution:
-    """Outer augmented-Lagrangian loop on the dual; returns a Solution.
+class DualStep:
+    """One outer iteration of the dual augmented Lagrangian.
 
-    Per outer iteration k: inexactly minimize the subproblem in xi (inner
-    tolerance combining the summable eps_k rule with the two relative
-    rules), then u <- y - prox_p(y) and x <- sigma * prox_p(y) with
-    y = x/sigma - A^T xi, then grow sigma.  When the inner loop cannot meet
-    its tolerance within the Newton cap, the multiplier update is skipped
-    and sigma is shrunk instead of grown (growth stays capped below the
-    failed level until the inner loop is comfortable again); this keeps the
-    subproblems solvable on badly scaled designs.  Terminates when
-    max(eta_gap, eta_d, eta_kkt) <= cfg.tol.
+    inner: inexactly minimize the subproblem in xi (the summable eps_k rule
+    combined with the two relative rules), then u <- y - prox_p(y) and
+    x <- sigma * prox_p(y) with y = x/sigma - A^T xi.  When the Newton cap
+    runs out first, the xi progress is kept but the multiplier update is
+    skipped and the step reported as rejected, so the outer loop backs
+    sigma off; this keeps the subproblems solvable on badly scaled designs.
     """
-    cfg = cfg or SolverConfig()
-    A, b = data.A, data.b
-    t0 = time.perf_counter()
-    deadline = t0 + cfg.max_time
-    norm_b = float(np.linalg.norm(b))
-    floor = 1e-13 * (1.0 + norm_b)
 
-    if warm is not None:
-        xi = np.array(warm.xi, dtype=np.float64)
-        u = np.array(warm.u, dtype=np.float64)
-        x = np.array(warm.x, dtype=np.float64)
-        sigma = warm.sigma
-    else:
-        xi = np.zeros(A.m)
-        u = np.zeros(A.n)
-        x = np.zeros(A.n)
-        sigma = cfg.sigma0 if cfg.sigma0 is not None else max(
-            1.0, norm_b / np.sqrt(A.m))
+    z = None
 
-    status = MAX_ITERS
-    total_newton = 0
-    total_cg = 0
-    newton_residuals = []
-    pobj = dobj = e_gap = e_d = e_kkt = np.inf
-    outer = 0
-    k = 0  # successful multiplier updates; drives the tolerance sequences
-    sigma_ceiling = cfg.sigma_max
-    for attempt in range(cfg.max_outer):
-        outer = attempt + 1
-        eps_k = cfg.eps_k(k)
-        delta_k = cfg.delta_k(k)
-        deltap_k = cfg.delta_prime_k(k)
+    def __init__(self, data: ProblemData, cfg: SolverConfig):
+        self.data = data
+        self.cfg = cfg
+        self.floor = 1e-13 * (1.0 + float(np.linalg.norm(data.b)))
+        self.xi = np.zeros(data.A.m)
+        self.u = self.x = np.zeros(data.A.n)  # replaced, never updated
+
+    def inner(self, sigma, k, deadline):
+        eps_k, delta_k, deltap_k = tolerances(k)
         sqrt_sigma = np.sqrt(sigma)
-        sub = DualSubproblem(data, x, sigma, cfg)
+        sub = DualSubproblem(self.data, self.x, sigma, self.cfg)
 
         def stop(gn, _xi, pr):
-            if gn <= floor:
+            if gn <= self.floor:
                 return True
             if gn > eps_k / sqrt_sigma:
                 return False
             feas = float(np.linalg.norm(sub.x_over_sigma - pr.prox))
             return gn <= min(delta_k * sqrt_sigma, deltap_k) * feas
 
-        xi, y, pr, residuals, ncg, hit_cap = newton(sub, xi, stop, cfg.ssn,
-                                                    deadline)
-        newton_residuals.append(residuals)
-        total_newton += len(residuals) - 1
-        total_cg += ncg
-
+        self.xi, y, pr, residuals, ncg, hit_cap = newton(
+            sub, self.xi, stop, self.cfg.ssn, deadline)
         if not hit_cap:
-            u = y - pr.prox
-            x = sigma * pr.prox
-            k += 1
+            self.u = y - pr.prox
+            self.x = sigma * pr.prox
+        return residuals, ncg, not hit_cap
 
-        pobj, dobj, e_gap, e_d = duality_metrics(x, xi, u, data)
-        e_kkt = eta_kkt(x, data)
-        if max(e_gap, e_d, e_kkt) <= cfg.tol:
-            status = CONVERGED
-            break
-        if time.perf_counter() > deadline:
-            status = MAX_TIME
-            break
+    def measures(self):
+        return (*duality_metrics(self.x, self.xi, self.u, self.data),
+                eta_kkt(self.x, self.data))
 
-        if hit_cap:
-            # The subproblem was too hard at this penalty level: keep the
-            # xi progress but drop the multiplier update, cap future growth
-            # below the level that failed, and retry with a gentler sigma.
-            sigma_ceiling = sigma / 2.0
-            sigma = max(cfg.sigma_min, sigma / cfg.sigma_shrink)
-            continue
-        if len(residuals) - 1 <= 3 and cfg.sigma_growth * sigma > sigma_ceiling:
-            # Inner Newton is cruising while pinned at the ceiling; probe a
-            # higher penalty level again.
-            sigma_ceiling = min(2.0 * sigma_ceiling, cfg.sigma_max)
-        sigma = min(cfg.sigma_growth * sigma, sigma_ceiling, cfg.sigma_max)
 
-    return Solution(
-        x=x, xi=xi, u=u, pobj=pobj, dobj=dobj, eta_gap=e_gap, eta_d=e_d,
-        eta_kkt=e_kkt, status=status, outer_iters=outer,
-        total_newton_iters=total_newton, total_cg_iters=total_cg,
-        wall_time=time.perf_counter() - t0,
-        newton_residuals=newton_residuals)
+def solve(data: ProblemData, cfg: Optional[SolverConfig] = None) -> Solution:
+    """Dual SSNAL: the shared outer loop over `DualStep`; terminates when
+    max(eta_gap, eta_d, eta_kkt) <= cfg.tol."""
+    return augmented_lagrangian(DualStep, data, cfg or SolverConfig())

@@ -11,14 +11,13 @@ route is preferred when m >> n.  Its smallest eigenvalue is at least
 1/sigma, so the dense factorization never meets a singular matrix.
 """
 
-import time
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 
-from .common import (CONVERGED, MAX_ITERS, MAX_TIME, PrimalState,
-                     SolverConfig, Solution, newton)
+from .common import (SolverConfig, Solution, augmented_lagrangian, newton,
+                     tolerances)
 from .jacobian import ProxJacobian, build_jacobian
 from .linalg import CgControls, cg_solve
 from .metrics import duality_metrics, eta_kkt
@@ -110,7 +109,7 @@ class PrimalSubproblem:
                 + float(dx @ dx) / (2.0 * sigma))
 
     def direction(self, pr, g, counter):
-        jac = build_jacobian(pr, self.pen, self.cfg.ties_tol)
+        jac = build_jacobian(pr, self.pen)
         return solve_newton_system_primal(jac, self.data.A, self.sigma, -g,
                                           self.cfg, self.gram,
                                           counter=counter)
@@ -119,85 +118,59 @@ class PrimalSubproblem:
         return self.data.A.matvec(h)
 
 
-def solve_primal(data: ProblemData, cfg: Optional[SolverConfig] = None,
-                 warm: Optional[PrimalState] = None) -> Solution:
-    """Outer augmented-Lagrangian loop on the primal splitting.
+class PrimalStep:
+    """One outer iteration of the primal augmented Lagrangian.
 
-    Per outer iteration: Newton-solve for x (inner tolerance proportional
-    to the step size, scaled by eps_k / sigma), then
-    z <- prox_{p/sigma}(x - y/sigma) and y <- y - sigma (x - z).  For the
-    reported optimality measures the dual pair is xi = A z - b and
-    u = proj_{dom p*}(-A^T xi).
+    inner: Newton-solve for x (inner tolerance proportional to the step
+    size, scaled by eps_k / sigma), then z <- prox_{p/sigma}(x - y/sigma)
+    and y <- y - sigma (x - z).  The multiplier step is taken even after a
+    capped inner solve, so every step is accepted.  For the optimality
+    measures the dual pair is xi = A z - b and u = proj_{dom p*}(-A^T xi).
     """
-    cfg = cfg or SolverConfig()
-    pen = data.require_penalties()
-    A, b = data.A, data.b
-    t0 = time.perf_counter()
-    deadline = t0 + cfg.max_time
-    floor = 1e-13 * (1.0 + float(np.linalg.norm(b)))
 
-    if warm is not None:
-        x = np.array(warm.x, dtype=np.float64)
-        z = np.array(warm.z, dtype=np.float64)
-        yv = np.array(warm.y, dtype=np.float64)
-        sigma = warm.sigma
-    else:
-        x = np.zeros(A.n)
-        z = np.zeros(A.n)
-        yv = np.zeros(A.n)
-        sigma = cfg.sigma0 if cfg.sigma0 is not None else max(
-            1.0, float(np.linalg.norm(b)) / np.sqrt(A.m))
+    def __init__(self, data: ProblemData, cfg: SolverConfig):
+        A = data.A
+        self.data = data
+        self.cfg = cfg
+        self.pen = data.require_penalties()
+        self.floor = 1e-13 * (1.0 + float(np.linalg.norm(data.b)))
+        self.gram = (A.gram() if A.n <= cfg.dense_cap and A.m >= 4 * A.n
+                     else None)
+        # every iterate is replaced, never updated in place
+        self.x = self.z = self.y = self.u = np.zeros(A.n)
+        self.xi = np.zeros(A.m)
 
-    gram = None
-    if A.n <= cfg.dense_cap and A.m >= 4 * A.n:
-        gram = A.gram()
+    def inner(self, sigma, k, deadline):
+        eps_k = tolerances(k)[0]
+        x0, z0, y0 = self.x, self.z, self.y
 
-    status = MAX_ITERS
-    total_newton = 0
-    total_cg = 0
-    newton_residuals = []
-    pobj = dobj = e_gap = e_d = e_kkt = np.inf
-    xi = np.zeros(A.m)
-    u = np.zeros(A.n)
-    outer = 0
-    for k in range(cfg.max_outer):
-        outer = k + 1
-        eps_k = cfg.eps_k(k)
-
-        def stop(gn, x_c, pr, _x=x, _z=z, _y=yv, _eps=eps_k, _s=sigma):
-            if gn <= floor:
+        def stop(gn, x_c, pr):
+            if gn <= self.floor:
                 return True
-            z_c = pr.prox / _s
-            y_c = _y - _s * (x_c - z_c)
-            step = np.sqrt(float((x_c - _x) @ (x_c - _x))
-                           + float((z_c - _z) @ (z_c - _z))
-                           + float((y_c - _y) @ (y_c - _y)))
-            return gn <= (_eps / _s) * min(1.0, step)
+            z_c = pr.prox / sigma
+            y_c = y0 - sigma * (x_c - z_c)
+            step = np.sqrt(float((x_c - x0) @ (x_c - x0))
+                           + float((z_c - z0) @ (z_c - z0))
+                           + float((y_c - y0) @ (y_c - y0)))
+            return gn <= (eps_k / sigma) * min(1.0, step)
 
-        sub = PrimalSubproblem(data, x, yv, sigma, cfg, gram)
-        x, _, pr, residuals, ncg, _ = newton(sub, x, stop, cfg.ssn, deadline)
-        newton_residuals.append(residuals)
-        total_newton += len(residuals) - 1
-        total_cg += ncg
+        sub = PrimalSubproblem(self.data, x0, y0, sigma, self.cfg, self.gram)
+        self.x, _, pr, residuals, ncg, _ = newton(sub, x0, stop, self.cfg.ssn,
+                                                 deadline)
+        self.z = pr.prox / sigma
+        self.y = y0 - sigma * (self.x - self.z)
+        return residuals, ncg, True
 
-        z = pr.prox / sigma
-        yv = yv - sigma * (x - z)
+    def measures(self):
+        A = self.data.A
+        self.xi = A.matvec(self.z) - self.data.b
+        self.u = prox_conjugate(-A.tmatvec(self.xi), 1.0, self.pen)
+        return (*duality_metrics(self.x, self.xi, self.u, self.data),
+                eta_kkt(self.x, self.data))
 
-        xi = A.matvec(z) - b
-        u = prox_conjugate(-A.tmatvec(xi), 1.0, pen)
-        pobj, dobj, e_gap, e_d = duality_metrics(x, xi, u, data)
-        e_kkt = eta_kkt(x, data)
-        if max(e_gap, e_d, e_kkt) <= cfg.tol:
-            status = CONVERGED
-            break
-        if time.perf_counter() > deadline:
-            status = MAX_TIME
-            break
-        sigma = min(cfg.sigma_max, cfg.sigma_growth * sigma)
 
-    return Solution(
-        x=x, xi=xi, u=u, pobj=pobj, dobj=dobj, eta_gap=e_gap, eta_d=e_d,
-        eta_kkt=e_kkt, status=status, outer_iters=outer,
-        total_newton_iters=total_newton, total_cg_iters=total_cg,
-        wall_time=time.perf_counter() - t0, z=z,
-        newton_residuals=newton_residuals)
+def solve_primal(data: ProblemData,
+                 cfg: Optional[SolverConfig] = None) -> Solution:
+    """Primal SSNAL: the shared outer loop over `PrimalStep`; terminates
+    when max(eta_gap, eta_d, eta_kkt) <= cfg.tol."""
+    return augmented_lagrangian(PrimalStep, data, cfg or SolverConfig())

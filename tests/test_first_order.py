@@ -157,6 +157,26 @@ class TestApg:
         with pytest.raises(ValueError):
             apg_solve(data)
 
+    def test_objective_computed_once_per_checked_iteration(self, monkeypatch):
+        # with both the objective trace and the "rel" rule on, the trace
+        # value is reused for eta_rel instead of recomputed; the reference
+        # 0 lies below every objective, so no check stops the run early
+        from clusterlasso import first_order
+
+        data = _problem(6)
+        calls = []
+
+        def counted(x, d):
+            calls.append(1)
+            return primal_objective(x, d)
+
+        monkeypatch.setattr(first_order, "primal_objective", counted)
+        cfg = FirstOrderConfig(max_iters=20, tol=1e-14, tol_metric="rel",
+                               ref_pobj=0.0, track_objective=True)
+        sol = apg_solve(data, cfg)
+        assert sol.outer_iters == 20
+        assert len(calls) == len(sol.obj_trace) == 20
+
     def test_explicit_lipschitz_honored(self):
         data = _problem(6)
         sol = apg_solve(data, FirstOrderConfig(tol=1e-8), lipschitz=1e4)

@@ -30,7 +30,7 @@ class TestStructure:
         jac = _jac_at([5.0, -6.0, 0.01], beta=0.5, rho=0.1)
         assert jac.npools == 0
         M = _dense(jac)
-        np.testing.assert_array_equal(np.diag(M), jac.nonzero.astype(float))
+        np.testing.assert_array_equal(np.diag(M), [1.0, 1.0, 0.0])
         np.testing.assert_array_equal(M, np.diag(np.diag(M)))
 
     def test_full_pool_averages(self):
@@ -46,11 +46,10 @@ class TestStructure:
         M = _dense(jac)
         np.testing.assert_array_equal(M, np.zeros((3, 3)))
         assert jac.free_idx.size == 0 and jac.pool_idx.size == 0
-        assert jac.group_nonzero.size and not jac.group_nonzero.any()
 
     def test_rho_zero_diagonal(self):
         jac = _jac_at([2.0, 0.1, -3.0], beta=1.0, rho=0.0)
-        assert jac.perm is None
+        assert jac.npools == 0
         np.testing.assert_array_equal(_dense(jac),
                                       np.diag([1.0, 0.0, 1.0]))
 
@@ -174,6 +173,6 @@ class TestValidation:
         import dataclasses
         pen = Penalties(0.1, 0.1)
         pr = prox_clustered(np.array([1.0, 2.0]), pen)
-        broken = dataclasses.replace(pr, theta=np.array([True]))
+        broken = dataclasses.replace(pr, s_rho=np.array([1.0]))
         with pytest.raises(ValueError):
             build_jacobian(broken, pen)

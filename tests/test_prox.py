@@ -232,13 +232,6 @@ class TestProxClustered:
         y = np.array([1.0, -2.0, 0.5])
         res = prox_clustered(y, Penalties(100.0, 1.0))
         np.testing.assert_array_equal(res.prox, np.zeros(3))
-        assert not res.theta.any()
-
-    def test_theta_matches_survivors(self):
-        rng = np.random.default_rng(9)
-        y = rng.normal(size=30)
-        res = prox_clustered(y, Penalties(0.4, 0.1))
-        np.testing.assert_array_equal(res.theta, res.prox != 0.0)
 
     def test_result_records_scale(self):
         y = np.array([-3.0, 7.0, 1.0])

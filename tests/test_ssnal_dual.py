@@ -5,7 +5,6 @@ import pytest
 
 from clusterlasso.common import (
     CONVERGED,
-    DualState,
     SolverConfig,
     SsnControls,
     newton,
@@ -229,14 +228,6 @@ class TestOuterLoop:
         sol = solve(data, SolverConfig(tol=1e-9))
         assert abs(sol.pobj - sol.dobj) <= 1e-7 * (1 + abs(sol.pobj))
 
-    def test_warm_start_accepted(self):
-        data = _random_problem(16, m=10, n=6)
-        cold = solve(data)
-        warm = DualState(xi=cold.xi, u=cold.u, x=cold.x, sigma=10.0)
-        sol = solve(data, warm=warm)
-        assert sol.status == CONVERGED
-        assert sol.outer_iters <= cold.outer_iters
-
     def test_objective_against_objective_of_perturbations(self):
         data = _random_problem(17, m=9, n=5, beta=0.25, rho=0.1)
         sol = solve(data, SolverConfig(tol=1e-10))
@@ -261,7 +252,7 @@ class TestOuterLoop:
         assert sol.outer_iters == 1
 
     def test_sigma_recovery_on_hard_tall_instance(self):
-        # Cold-started sigma0 = ||b||/sqrt(m) overshoots on this correlated
+        # The starting sigma = ||b||/sqrt(m) overshoots on this correlated
         # tall design; the solver must shrink sigma after capped inner loops
         # and still converge well within the outer budget.
         import dataclasses
@@ -282,11 +273,3 @@ class TestOuterLoop:
         inner = [len(r) - 1 for r in sol.newton_residuals]
         assert any(its >= cap for its in inner)  # recovery path exercised
         assert sol.outer_iters < 30
-
-    def test_sigma_recovery_bounds_validated(self):
-        with pytest.raises(ValueError):
-            SolverConfig(sigma_shrink=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(sigma_min=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(sigma_min=10.0, sigma_max=1.0)

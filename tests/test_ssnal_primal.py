@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clusterlasso.common import CONVERGED, PrimalState, SolverConfig
+from clusterlasso.common import CONVERGED, SolverConfig
 from clusterlasso.jacobian import build_jacobian
 from clusterlasso.linalg import DesignMatrix
 from clusterlasso.metrics import primal_objective
@@ -184,12 +184,13 @@ class TestSolvePrimal:
             cand = sol.x + 1e-4 * rng.normal(size=5)
             assert base <= primal_objective(cand, data) + 1e-12
 
-    def test_warm_start_accepted(self):
+    def test_residual_trace_recorded(self):
         data = _tall_problem(35, m=24, n=6)
-        cold = solve_primal(data)
-        warm = PrimalState(x=cold.x, z=cold.z, y=np.zeros(6), sigma=10.0)
-        sol = solve_primal(data, warm=warm)
-        assert sol.status == CONVERGED
+        sol = solve_primal(data)
+        assert sol.newton_residuals
+        assert all(len(r) >= 1 for r in sol.newton_residuals)
+        assert sol.total_newton_iters == sum(
+            len(r) - 1 for r in sol.newton_residuals)
 
     def test_both_newton_routes_reach_the_same_solution(self):
         # m >= 4n caches the Gram matrix (dense route); m < 4n goes
