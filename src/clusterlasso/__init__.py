@@ -13,9 +13,10 @@ from .data import (LibsvmParseError, ScenarioSpec, SyntheticProblem,
                    generate_scenario, penalties_from_alphas, read_libsvm,
                    true_coefficients, write_libsvm)
 from .first_order import (FirstOrderConfig, apg_solve, d_admm_solve,
-                          estimate_lipschitz, p_admm_solve)
+                          p_admm_solve)
 from .jacobian import ProxJacobian, build_jacobian, design_factors
-from .linalg import CgControls, DesignMatrix, MaxItersExceeded, cg_solve
+from .linalg import (CgControls, DesignMatrix, MaxItersExceeded, cg_solve,
+                     estimate_lipschitz)
 from .metrics import duality_metrics, eta_kkt, eta_rel, gnnz, nnz
 from .problem import ProblemData
 from .prox import (BlockPartition, Penalties, ProxResult, ordered_weights,

@@ -99,6 +99,12 @@ def tolerances(k: int):
     return EPS0 * 0.5 ** k, DELTA0 * 0.5 ** k, 1.0 / (k + 1.0)
 
 
+def tall_gram(A, cfg) -> Optional[np.ndarray]:
+    """A^T A when the design is tall enough for Newton systems through the
+    n-side (n <= cfg.dense_cap and m >= 4n), else None."""
+    return A.gram() if A.n <= cfg.dense_cap and A.m >= 4 * A.n else None
+
+
 def augmented_lagrangian(make_step, data, cfg) -> "Solution":
     """Outer augmented-Lagrangian loop shared by both SSNAL solvers.
 
@@ -109,16 +115,17 @@ def augmented_lagrangian(make_step, data, cfg) -> "Solution":
     drives `tolerances`.  step.measures() gives (pobj, dobj, eta_gap,
     eta_d, eta_kkt) at the iterates step.x, step.xi, step.u, step.z.
 
-    sigma starts at max(1, ||b|| / sqrt(m)).  An accepted step grows it;
-    a rejected one keeps the iterates, shrinks sigma and caps later growth
-    below the level that failed, until an inner solve of at most three
-    Newton steps at the ceiling lets the ceiling double again.  Stops when
-    max(eta_gap, eta_d, eta_kkt) <= cfg.tol.
+    sigma starts at step.sigma0, which each formulation picks from the
+    data.  An accepted step grows it; a rejected one keeps the iterates,
+    shrinks sigma and caps later growth below the level that failed, until
+    an inner solve of at most three Newton steps at the ceiling lets the
+    ceiling double again.  Stops when max(eta_gap, eta_d, eta_kkt) <=
+    cfg.tol.
     """
     t0 = time.perf_counter()
     deadline = t0 + cfg.max_time
-    sigma = max(1.0, float(np.linalg.norm(data.b)) / np.sqrt(data.A.m))
     step = make_step(data, cfg)
+    sigma = step.sigma0
 
     status = MAX_ITERS
     total_newton = total_cg = outer = k = 0

@@ -12,7 +12,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .common import CONVERGED, MAX_ITERS, MAX_TIME, Solution
-from .linalg import CgControls, cg_solve
+from .linalg import CgControls, cg_solve, estimate_lipschitz
 from .metrics import duality_metrics, eta_kkt, eta_rel, primal_objective
 from .problem import ProblemData
 from .prox import prox_clustered, prox_conjugate
@@ -60,29 +60,6 @@ class FirstOrderConfig:
             raise ValueError("tol_metric='rel' needs ref_pobj")
         if self.max_iters < 1 or self.check_every < 1:
             raise ValueError("max_iters and check_every must be >= 1")
-
-
-def estimate_lipschitz(A, iters: int = 100, seed: int = 0) -> float:
-    """Power-iteration estimate of lambda_max(A^T A), padded by 1.01.
-
-    Deterministic for a fixed seed; returns 0.0 for a zero matrix.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.n)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:  # pragma: no cover - measure zero
-        v = np.ones(A.n)
-        nv = np.sqrt(A.n)
-    v /= nv
-    lam = 0.0
-    for _ in range(iters):
-        w = A.tmatvec(A.matvec(v))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        lam = float(v @ w)
-        v = w / nw
-    return 1.01 * lam
 
 
 def _finish(x, xi, u, data, status, iters, t0, e_rel, trace, z=None):

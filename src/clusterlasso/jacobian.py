@@ -60,6 +60,28 @@ class ProxJacobian:
         """(I - M) v."""
         return np.asarray(v, dtype=np.float64) - self.apply(v)
 
+    def _pool_scale(self) -> np.ndarray:
+        return 1.0 / np.sqrt(self.pool_sizes.astype(np.float64))
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """P^T v along axis 0, for the n x k factor P with M = P P^T: one
+        unit column per free coordinate, then one column per kept pool of
+        size s holding 1/sqrt(s) on its coordinates.  v may be a vector or
+        an array with n rows (a Gram matrix, say)."""
+        v = np.asarray(v, dtype=np.float64)
+        sums = np.add.reduceat(v[self.pool_idx], self.pool_offsets, axis=0)
+        scale = self._pool_scale().reshape((-1,) + (1,) * (v.ndim - 1))
+        return np.concatenate([v[self.free_idx], sums * scale])
+
+    def extend(self, q: np.ndarray) -> np.ndarray:
+        """P q for a vector q of length |free| + pools."""
+        nf = self.free_idx.shape[0]
+        out = np.zeros(self.n)
+        out[self.free_idx] = q[:nf]
+        out[self.pool_idx] = np.repeat(q[nf:] * self._pool_scale(),
+                                       self.pool_sizes)
+        return out
+
 
 def build_jacobian(pr: ProxResult, pen: Penalties,
                    ties_tol: float = DEFAULT_TIES_TOL) -> ProxJacobian:

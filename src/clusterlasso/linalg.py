@@ -133,3 +133,25 @@ def cg_solve(apply, rhs: np.ndarray, ctrl: CgControls, x0=None) -> np.ndarray:
         rr = rr_new
     raise MaxItersExceeded(x, np.sqrt(rr), ctrl.max_iters)
 
+
+def estimate_lipschitz(A, iters: int = 100, seed: int = 0) -> float:
+    """Power-iteration estimate of lambda_max(A^T A), padded by 1.01.
+
+    Deterministic for a fixed seed; returns 0.0 for a zero matrix.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(A.n)
+    nv = np.linalg.norm(v)
+    if nv == 0.0:  # pragma: no cover - measure zero
+        v = np.ones(A.n)
+        nv = np.sqrt(A.n)
+    v /= nv
+    lam = 0.0
+    for _ in range(iters):
+        w = A.tmatvec(A.matvec(v))
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            return 0.0
+        lam = float(v @ w)
+        v = w / nw
+    return 1.01 * lam

@@ -7,7 +7,8 @@ Works on the dual formulation
 driving xi with an inexact Newton method on the (smooth, strongly convex)
 augmented-Lagrangian subproblem and recovering the primal iterate through
 the prox.  Preferred when m <= n: the Newton systems live in R^m and their
-curvature part A M A^T collapses to two thin factors.
+curvature part A M A^T collapses to two thin factors.  On tall designs
+the same systems are solved through the n-side with a cached A^T A.
 """
 
 from typing import Optional
@@ -16,27 +17,44 @@ import numpy as np
 import scipy.linalg as sla
 
 from .common import (SolverConfig, Solution, augmented_lagrangian, newton,
-                     tolerances)
+                     tall_gram, tolerances)
 from .jacobian import ProxJacobian, build_jacobian, design_factors
-from .linalg import CgControls, cg_solve
+from .linalg import CgControls, cg_solve, estimate_lipschitz
 from .metrics import duality_metrics, eta_kkt
 from .problem import ProblemData
 from .prox import prox_clustered
 
+# sigma_0 lambda_max(A A^T) at the start of the dual's outer loop; the
+# product is unchanged when A or b is rescaled
+SIGMA0_CURVATURE = 100.0
+
 
 def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
-                        cfg: SolverConfig, counter=None) -> np.ndarray:
+                        cfg: SolverConfig, counter=None,
+                        gram: Optional[np.ndarray] = None) -> np.ndarray:
     """Solve (I + sigma A M A^T) h = rhs to the inexact-Newton tolerance.
 
-    With the thin factors W = [A_free, A_pooled] the matrix is
-    I + sigma W W^T.  Routing: SMW through the k = |free| + pools side when
-    k < m (exact, cost m k^2), dense assembly when m is small, CG with the
-    structured matvec otherwise (residual target min(eta_bar, ||rhs||^{1+tau})).
+    With M = P P^T (`ProxJacobian.restrict` applies P^T) the matrix is
+    I + sigma (AP)(AP)^T, k = |free| + pools columns.  Routing:
+    - gram = A^T A given (tall designs): Woodbury through the k-side,
+      h = rhs - A P (I/sigma + P^T G P)^{-1} P^T A^T rhs, one product with
+      A^T and one with A around a k x k Cholesky; no m x k array is formed;
+    - SMW on the thin factors W = [A_free, A_pooled] = AP when k < m
+      (exact, cost m k^2);
+    - dense assembly when m is small;
+    - CG with the structured matvec otherwise (residual target
+      min(eta_bar, ||rhs||^{1+tau})).
     """
     kdim = jac.free_idx.shape[0] + jac.npools
     m = A.m
     if kdim == 0:
         return rhs.copy()
+    if gram is not None:
+        S = jac.restrict(jac.restrict(gram).T)
+        S[np.diag_indices_from(S)] += 1.0 / sigma
+        c, low = sla.cho_factor(S, lower=True)
+        q = sla.cho_solve((c, low), jac.restrict(A.tmatvec(rhs)))
+        return rhs - A.matvec(jac.extend(q))
     A_free, A_pooled = design_factors(jac, A)
 
     if kdim <= cfg.dense_cap and kdim < m:
@@ -76,15 +94,17 @@ class DualSubproblem:
 
     with y = x_tilde/sigma - A^T xi (the aux vector `newton` carries) and
     gradient xi + b - sigma A prox_p(y); the conjugate-penalty term
-    vanishes on its domain.
+    vanishes on its domain.  gram (A^T A or None) picks the Newton-system
+    route.
     """
 
     def __init__(self, data: ProblemData, x_tilde: np.ndarray, sigma: float,
-                 cfg: SolverConfig):
+                 cfg: SolverConfig, gram: Optional[np.ndarray] = None):
         self.data = data
         self.pen = data.require_penalties()
         self.sigma = sigma
         self.cfg = cfg
+        self.gram = gram
         self.x_over_sigma = x_tilde / sigma
         self.const = -float(x_tilde @ x_tilde) / (2.0 * sigma)
 
@@ -104,7 +124,7 @@ class DualSubproblem:
     def direction(self, pr, g, counter):
         jac = build_jacobian(pr, self.pen)
         return solve_newton_system(jac, self.data.A, self.sigma, -g, self.cfg,
-                                   counter=counter)
+                                   counter=counter, gram=self.gram)
 
     def lift(self, h):
         return -self.data.A.tmatvec(h)
@@ -119,6 +139,11 @@ class DualStep:
     runs out first, the xi progress is kept but the multiplier update is
     skipped and the step reported as rejected, so the outer loop backs
     sigma off; this keeps the subproblems solvable on badly scaled designs.
+
+    sigma0 = SIGMA0_CURVATURE / L with L a 10-step power estimate of
+    lambda_max(A^T A) (1 when A is zero), so the first subproblem's
+    curvature sigma A M A^T has the same size whatever the scale of A and
+    b.  gram is `tall_gram`'s A^T A or None.
     """
 
     z = None
@@ -127,13 +152,16 @@ class DualStep:
         self.data = data
         self.cfg = cfg
         self.floor = 1e-13 * (1.0 + float(np.linalg.norm(data.b)))
+        lip = estimate_lipschitz(data.A, iters=10)
+        self.sigma0 = SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
+        self.gram = tall_gram(data.A, cfg)
         self.xi = np.zeros(data.A.m)
         self.u = self.x = np.zeros(data.A.n)  # replaced, never updated
 
     def inner(self, sigma, k, deadline):
         eps_k, delta_k, deltap_k = tolerances(k)
         sqrt_sigma = np.sqrt(sigma)
-        sub = DualSubproblem(self.data, self.x, sigma, self.cfg)
+        sub = DualSubproblem(self.data, self.x, sigma, self.cfg, self.gram)
 
         def stop(gn, _xi, pr):
             if gn <= self.floor:

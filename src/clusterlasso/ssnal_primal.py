@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .common import (SolverConfig, Solution, augmented_lagrangian, newton,
-                     tolerances)
+                     tall_gram, tolerances)
 from .jacobian import ProxJacobian, build_jacobian
 from .linalg import CgControls, cg_solve
 from .metrics import duality_metrics, eta_kkt
@@ -126,6 +126,7 @@ class PrimalStep:
     and y <- y - sigma (x - z).  The multiplier step is taken even after a
     capped inner solve, so every step is accepted.  For the optimality
     measures the dual pair is xi = A z - b and u = proj_{dom p*}(-A^T xi).
+    sigma0 = max(1, ||b|| / sqrt(m)).
     """
 
     def __init__(self, data: ProblemData, cfg: SolverConfig):
@@ -134,8 +135,8 @@ class PrimalStep:
         self.cfg = cfg
         self.pen = data.require_penalties()
         self.floor = 1e-13 * (1.0 + float(np.linalg.norm(data.b)))
-        self.gram = (A.gram() if A.n <= cfg.dense_cap and A.m >= 4 * A.n
-                     else None)
+        self.sigma0 = max(1.0, float(np.linalg.norm(data.b)) / np.sqrt(A.m))
+        self.gram = tall_gram(A, cfg)
         # every iterate is replaced, never updated in place
         self.x = self.z = self.y = self.u = np.zeros(A.n)
         self.xi = np.zeros(A.m)

@@ -27,3 +27,12 @@ def test_solver_config_has_no_schedule_knobs():
     for gone in ("sigma0", "sigma_growth", "sigma_max", "sigma_shrink",
                  "sigma_min", "eps0", "delta0", "ties_tol"):
         assert not hasattr(SolverConfig(), gone)
+
+
+def test_estimate_lipschitz_is_one_function():
+    # defined in linalg (the dual's sigma0 uses it); the baselines module and
+    # the package re-export the same object
+    from clusterlasso import first_order, linalg
+
+    assert (clusterlasso.estimate_lipschitz is linalg.estimate_lipschitz
+            is first_order.estimate_lipschitz)

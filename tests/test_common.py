@@ -1,12 +1,17 @@
 """Tests for the augmented-Lagrangian outer loop shared by both SSNAL
-solvers, driven by a scripted step so the sigma policy is seen directly."""
-
-from types import SimpleNamespace
+solvers, driven by a scripted step so the sigma policy is seen directly,
+and for the starting sigma each formulation's step picks."""
 
 import numpy as np
+import pytest
 
 from clusterlasso.common import (CONVERGED, MAX_ITERS, MAX_TIME, SIGMA_MAX,
                                  SolverConfig, augmented_lagrangian)
+from clusterlasso.linalg import DesignMatrix, estimate_lipschitz
+from clusterlasso.problem import ProblemData
+from clusterlasso.prox import Penalties
+from clusterlasso.ssnal_dual import SIGMA0_CURVATURE, DualStep, solve
+from clusterlasso.ssnal_primal import PrimalStep
 
 
 class ScriptedStep:
@@ -14,8 +19,9 @@ class ScriptedStep:
     (sigma, k) each call received.  eta stays at 1 unless converge_at
     names the outer iteration (1-based) whose measures meet any tol."""
 
-    def __init__(self, script, converge_at=None):
+    def __init__(self, script, sigma0, converge_at=None):
         self.script = list(script)
+        self.sigma0 = sigma0
         self.converge_at = converge_at
         self.calls = []
         self.x = self.xi = self.u = np.zeros(1)
@@ -32,18 +38,42 @@ class ScriptedStep:
 
 
 def _run(script, start=2.0, **cfg):
-    # ||b|| / sqrt(m) = start with m = 4
-    data = SimpleNamespace(b=np.full(4, start), A=SimpleNamespace(m=4))
-    step = ScriptedStep(script, cfg.pop("converge_at", None))
+    step = ScriptedStep(script, start, cfg.pop("converge_at", None))
     cfg.setdefault("max_outer", len(script))
-    sol = augmented_lagrangian(lambda d, c: step, data, SolverConfig(**cfg))
+    sol = augmented_lagrangian(lambda d, c: step, None, SolverConfig(**cfg))
     return sol, [s for s, _ in step.calls], [k for _, k in step.calls]
+
+
+def _data(A, b):
+    return ProblemData(DesignMatrix(A), np.asarray(b, dtype=np.float64),
+                       Penalties(0.1, 0.01))
 
 
 class TestSigmaPolicy:
     def test_start_is_scaled_norm_of_b_but_at_least_one(self):
-        assert _run([(10, True)], start=2.0)[1] == [2.0]
-        assert _run([(10, True)], start=0.25)[1] == [1.0]
+        # the primal keeps max(1, ||b|| / sqrt(m)); m = 4 here
+        A = np.random.default_rng(0).normal(size=(4, 3))
+        cfg = SolverConfig()
+        assert PrimalStep(_data(A, np.full(4, 2.0)), cfg).sigma0 == 2.0
+        assert PrimalStep(_data(A, np.full(4, 0.25)), cfg).sigma0 == 1.0
+
+    def test_loop_starts_at_step_sigma0(self):
+        assert _run([(10, True)], start=0.125)[1] == [0.125]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_dual_start_fixes_sigma_times_lipschitz(self, scale):
+        rng = np.random.default_rng(1)
+        data = _data(scale * rng.normal(size=(30, 6)), rng.normal(size=30))
+        step = DualStep(data, SolverConfig())
+        lip = estimate_lipschitz(data.A, iters=10)
+        assert step.sigma0 * lip == pytest.approx(SIGMA0_CURVATURE, rel=1e-12)
+
+    def test_dual_start_on_zero_design_is_one(self):
+        data = _data(np.zeros((5, 3)), np.ones(5))
+        assert DualStep(data, SolverConfig()).sigma0 == 1.0
+        sol = solve(data)
+        assert sol.status == CONVERGED
+        np.testing.assert_array_equal(sol.x, 0.0)
 
     def test_accepted_step_triples_sigma(self):
         _, sigmas, _ = _run([(10, True)] * 3)

@@ -59,6 +59,20 @@ class TestStructure:
         v = rng.normal(size=20)
         np.testing.assert_allclose(jac.apply_complement(v), v - jac.apply(v))
 
+    def test_extend_restrict_is_apply(self):
+        # P P^T = M, and restrict works row-wise on matrices too
+        rng = np.random.default_rng(1)
+        y = np.round(rng.normal(size=30), 1)
+        jac = _jac_at(y, beta=0.2, rho=0.01)
+        assert jac.npools and jac.free_idx.size
+        v = rng.normal(size=30)
+        np.testing.assert_allclose(jac.extend(jac.restrict(v)), jac.apply(v),
+                                   rtol=1e-13, atol=1e-13)
+        V = rng.normal(size=(30, 3))
+        np.testing.assert_allclose(
+            jac.restrict(V), np.stack([jac.restrict(c) for c in V.T], axis=1),
+            rtol=1e-13, atol=1e-13)
+
     def test_mixed_free_and_pooled(self):
         # one pooled pair plus free coordinates
         jac = _jac_at([1.0, 1.05, 8.0, -4.0], beta=0.1, rho=0.05)

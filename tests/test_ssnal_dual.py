@@ -1,5 +1,7 @@
 """Tests for the dual augmented-Lagrangian / semismooth-Newton solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,11 @@ from clusterlasso.common import (
     SolverConfig,
     SsnControls,
     newton,
+)
+from clusterlasso.data import (
+    ScenarioSpec,
+    generate_scenario,
+    penalties_from_alphas,
 )
 from clusterlasso.jacobian import build_jacobian
 from clusterlasso.linalg import DesignMatrix
@@ -113,9 +120,13 @@ class TestNewtonSystem:
         M = dense_matrix_from_apply(jac.apply, n)
         H = np.eye(m) + sigma * A.toarray() @ M @ A.toarray().T
         rhs = rng.normal(size=m)
+        want = np.linalg.solve(H, rhs)
         got = solve_newton_system(jac, A, sigma, rhs, SolverConfig())
-        np.testing.assert_allclose(got, np.linalg.solve(H, rhs),
-                                   atol=1e-8, rtol=1e-8)
+        np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
+        # the Gram route (Woodbury through the n-side) solves the same system
+        got = solve_newton_system(jac, A, sigma, rhs, SolverConfig(),
+                                  gram=A.gram())
+        np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
 
     def test_identity_when_jacobian_vanishes(self):
         A = DesignMatrix(np.ones((3, 4)))
@@ -252,24 +263,37 @@ class TestOuterLoop:
         assert sol.outer_iters == 1
 
     def test_sigma_recovery_on_hard_tall_instance(self):
-        # The starting sigma = ||b||/sqrt(m) overshoots on this correlated
-        # tall design; the solver must shrink sigma after capped inner loops
-        # and still converge well within the outer budget.
-        import dataclasses
-
-        from clusterlasso.data import (
-            ScenarioSpec,
-            generate_scenario,
-            penalties_from_alphas,
-        )
-
+        # On this correlated tall design the x3 sigma growth outruns what
+        # 10 Newton steps can solve; the solver must back sigma off after
+        # the capped inner loops and still converge well within the outer
+        # budget.
         prob = generate_scenario(ScenarioSpec(3, k=2, seed=1, m_override=400))
         pen = penalties_from_alphas(1e-3, 1e-3, prob.data)
         data = dataclasses.replace(prob.data, penalties=pen)
-        sol = solve(data)
+        cfg = SolverConfig(ssn=SsnControls(max_newton=10))
+        sol = solve(data, cfg)
         assert sol.status == CONVERGED
         assert sol.max_eta <= 1e-6
-        cap = SolverConfig().ssn.max_newton
+        cap = cfg.ssn.max_newton
         inner = [len(r) - 1 for r in sol.newton_residuals]
         assert any(its >= cap for its in inner)  # recovery path exercised
         assert sol.outer_iters < 30
+
+    def test_newton_work_does_not_depend_on_data_scale(self):
+        # sigma0 lambda_max(A A^T) is fixed, so rescaling A or b leaves the
+        # subproblems alike: every run converges without a capped inner
+        # solve, within twice the Newton steps of the unscaled run.
+        prob = generate_scenario(ScenarioSpec(1, k=10, seed=1,
+                                              m_override=2000))
+        A, b = prob.data.A.toarray(), prob.data.b
+        cap = SolverConfig().ssn.max_newton
+        steps = []
+        for a_scale, b_scale in ((1.0, 1.0), (100.0, 1.0), (1.0, 1e3)):
+            data = ProblemData(DesignMatrix(a_scale * A), b_scale * b)
+            data = dataclasses.replace(
+                data, penalties=penalties_from_alphas(1e-3, 1e-3, data))
+            sol = solve(data)
+            assert sol.status == CONVERGED
+            assert all(len(r) - 1 < cap for r in sol.newton_residuals)
+            steps.append(sol.total_newton_iters)
+        assert max(steps[1:]) <= 2 * steps[0]
