@@ -1,6 +1,7 @@
 """First-order baselines: ADMM on either formulation and accelerated
 proximal gradient.  These are the reference points the Newton solvers are
-benchmarked against; each one only ever touches the prox and plain matvecs.
+benchmarked against; each one touches the prox, products with A and A^T, and
+at most one n x n or m x m matrix, on whichever side is smaller.
 """
 
 import time
@@ -27,9 +28,11 @@ class FirstOrderConfig:
     tol_metric picks the stopping rule: "kkt" checks the scaled natural-map
     residual against tol, "rel" checks the signed relative objective gap
     against ref_pobj.  variant applies to the dual ADMM only: "exact"
-    factorizes I + sigma A A^T once, "inexact" solves it by warm-started CG
-    with a summable tolerance min(0.9^k, 0.1 ||rhs||), "linearized" replaces
-    the solve with a majorized step of weight lin_tau >= lambda_max(A A^T).
+    solves with a Cholesky factor of I + sigma A A^T (of I + sigma A^T A
+    when n < m), refactored whenever adaptive_sigma moves sigma; "inexact"
+    solves by warm-started CG with a summable tolerance
+    min(0.9^k, 0.1 ||rhs||); "linearized" replaces the solve with a
+    majorized step of weight lin_tau >= lambda_max(A A^T).
     """
 
     tol: float = 1e-6
@@ -62,13 +65,15 @@ class FirstOrderConfig:
             raise ValueError("max_iters and check_every must be >= 1")
 
 
-def _finish(x, xi, u, data, status, iters, t0, e_rel, trace, z=None):
+def _finish(x, xi, u, data, status, iters, t0, e_rel, trace, z=None,
+            cg_iters=0):
     pobj, dobj, e_gap, e_d = duality_metrics(x, xi, u, data)
     return Solution(
         x=x, xi=xi, u=u, pobj=pobj, dobj=dobj, eta_gap=e_gap, eta_d=e_d,
         eta_kkt=eta_kkt(x, data), status=status or MAX_ITERS,
-        outer_iters=iters, wall_time=time.perf_counter() - t0, z=z,
-        eta_rel=e_rel, obj_trace=trace)
+        outer_iters=iters, total_cg_iters=cg_iters,
+        wall_time=time.perf_counter() - t0, z=z, eta_rel=e_rel,
+        obj_trace=trace)
 
 
 def _check(cfg, data, x, it, trace, deadline, e_rel):
@@ -108,6 +113,14 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     Iterates: solve (I + sigma A A^T) xi = -b + A(x - sigma u), then
     u <- proj_{dom p*}(x/sigma - A^T xi), then the multiplier step
     x <- x - kappa sigma (A^T xi + u).
+
+    Only A^T xi enters the loop.  The exact variant on a tall design
+    (n < m) takes it from the n x n side: with w = x - sigma u and
+    G = A^T A, the push-through identity
+    A^T (I + sigma A A^T)^{-1} = (I + sigma G)^{-1} A^T gives
+    A^T xi = (I + sigma G)^{-1} (G w - A^T b), and xi = A(w - sigma A^T xi)
+    - b is formed once, after the loop.  The linearized variant reuses the
+    previous A^T xi, two products with A per iteration.
     """
     cfg = cfg or FirstOrderConfig()
     pen = data.require_penalties()
@@ -120,16 +133,21 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
     xi = np.zeros(m)
+    at_xi = np.zeros(n)
 
-    gram_m = None
+    gram_side = cfg.variant == "exact" and n < m
     lin_tau = None
     if cfg.variant == "exact":
-        gram_m = A.raw @ A.raw.T
-        if sp.issparse(gram_m):
-            gram_m = np.asarray(gram_m.todense())
+        if gram_side:
+            gram = A.gram()
+            atb = A.tmatvec(b)
+        else:
+            gram = A.raw @ A.raw.T
+            if sp.issparse(gram):
+                gram = np.asarray(gram.todense())
 
         def factor(sig):
-            V = sig * gram_m
+            V = sig * gram
             V[np.diag_indices_from(V)] += 1.0
             return sla.cho_factor(V, lower=True)
 
@@ -139,14 +157,25 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         if lin_tau <= 0:
             raise ValueError("linearized variant needs lin_tau > 0")
 
+    cg_count = [0]
+
+    def apply(v):
+        cg_count[0] += 1
+        return v + sigma * A.matvec(A.tmatvec(v))
+
     trace = [] if cfg.track_objective else None
     status = e_rel = None
     u_prev = u.copy()
     it = 0
     for it in range(1, cfg.max_iters + 1):
         if cfg.variant == "linearized":
-            g = A.matvec(A.tmatvec(xi) + u) - A.matvec(x) / sigma
+            g = A.matvec(at_xi + u - x / sigma)
             xi = (sigma * lin_tau * xi - b - sigma * g) / (1.0 + sigma * lin_tau)
+            at_xi = A.tmatvec(xi)
+        elif gram_side:
+            w = x - sigma * u
+            at_xi = sla.cho_solve(chol, gram @ w - atb)
+            xi_arg = w - sigma * at_xi
         else:
             rhs = -b + A.matvec(x - sigma * u)
             if cfg.variant == "exact":
@@ -155,10 +184,8 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
                 tol_k = min(0.9 ** it, 0.1 * float(np.linalg.norm(rhs)))
                 ctrl = CgControls(max_iters=cfg.cg.max_iters, rel_tol=0.0,
                                   abs_tol=max(tol_k, 1e-14))
-                xi = cg_solve(
-                    lambda v: v + sigma * A.matvec(A.tmatvec(v)), rhs,
-                    ctrl, x0=xi)
-        at_xi = A.tmatvec(xi)
+                xi = cg_solve(apply, rhs, ctrl, x0=xi)
+            at_xi = A.tmatvec(xi)
         v = x / sigma - at_xi
         pr = prox_clustered(v, pen)
         u = v - pr.prox
@@ -177,7 +204,10 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         if status:
             break
 
-    return _finish(x, xi, u, data, status, it, t0, e_rel, trace)
+    if gram_side:
+        xi = A.matvec(xi_arg) - b
+    return _finish(x, xi, u, data, status, it, t0, e_rel, trace,
+                   cg_iters=cg_count[0])
 
 
 def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
@@ -256,12 +286,20 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     w = x.copy()
     t = 1.0
+    # on a dense tall design A^T A is smaller than A, and one n x n product
+    # per gradient replaces two m x n ones
+    gram = A.gram() if not A.is_sparse and n < A.m else None
+    if gram is not None:
+        atb = A.tmatvec(b)
 
     trace = [] if cfg.track_objective else None
     status = e_rel = None
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        grad = A.tmatvec(A.matvec(w) - b)
+        if gram is None:
+            grad = A.tmatvec(A.matvec(w) - b)
+        else:
+            grad = gram @ w - atb
         # prox_{p/L}(w - grad/L) = prox_p(L w - grad) / L by homogeneity
         pr = prox_clustered(L * w - grad, pen)
         x_new = pr.prox / L

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from clusterlasso.common import CONVERGED
 from clusterlasso.first_order import (
@@ -15,7 +16,7 @@ from clusterlasso.first_order import (
 from clusterlasso.linalg import DesignMatrix
 from clusterlasso.metrics import primal_objective
 from clusterlasso.problem import ProblemData
-from clusterlasso.prox import Penalties
+from clusterlasso.prox import Penalties, prox_clustered
 from clusterlasso.ssnal_dual import solve as solve_dual
 
 
@@ -24,6 +25,22 @@ def _problem(seed, m=15, n=8, beta=0.3, rho=0.1):
     A = DesignMatrix(rng.normal(size=(m, n)))
     b = rng.normal(size=m)
     return ProblemData(A, b, Penalties(beta, rho))
+
+
+def _sparse_problem(seed, m, n, beta=0.3, rho=0.1):
+    rng = np.random.default_rng(seed)
+    M = sp.random(m, n, density=0.4, random_state=seed, format="csr")
+    return ProblemData(DesignMatrix(M), rng.normal(size=m),
+                       Penalties(beta, rho))
+
+
+# tall dense and sparse designs take the n-side routes, the wide one the
+# m-side routes
+ROUTE_SHAPES = {
+    "tall_dense": lambda: _problem(13, m=30, n=8),
+    "tall_sparse": lambda: _sparse_problem(14, m=30, n=8),
+    "wide_dense": lambda: _problem(15, m=8, n=15),
+}
 
 
 class TestConfig:
@@ -98,13 +115,21 @@ class TestSoftThresholdCrossCheck:
 
 
 class TestAgreementWithNewton:
-    @pytest.mark.parametrize("runner", [d_admm_solve, p_admm_solve, apg_solve])
-    def test_matches_newton_solution(self, runner):
-        data = _problem(1)
+    @staticmethod
+    def _agree(runner, data):
         ref = solve_dual(data)
         sol = runner(data, FirstOrderConfig(tol=1e-9))
         assert sol.status == CONVERGED
         np.testing.assert_allclose(sol.x, ref.x, atol=1e-5)
+
+    @pytest.mark.parametrize("runner", [d_admm_solve, p_admm_solve, apg_solve])
+    def test_matches_newton_solution(self, runner):
+        self._agree(runner, _problem(1))
+
+    @pytest.mark.parametrize("runner", [d_admm_solve, p_admm_solve, apg_solve])
+    def test_matches_newton_solution_wide(self, runner):
+        # m < n: exact d-ADMM and APG keep their m-side routes
+        self._agree(runner, _problem(1, m=8, n=15))
 
     def test_variants_agree(self):
         data = _problem(2)
@@ -224,3 +249,43 @@ class TestAdmmDetails:
         # at convergence A^T xi + u ~ 0 and the primal matches the prox
         assert sol.eta_d <= 1e-6
         assert sol.eta_gap <= 1e-6
+
+
+class TestOneStep:
+    """A single iteration from a random start, checked against the
+    equations that define it."""
+
+    @pytest.mark.parametrize("shape", sorted(ROUTE_SHAPES))
+    def test_d_admm_step_solves_dual_system(self, shape):
+        data = ROUTE_SHAPES[shape]()
+        M = data.A.toarray()
+        m, n = M.shape
+        rng = np.random.default_rng(16)
+        x0, u0 = rng.normal(size=n), rng.normal(size=n)
+        sigma = 0.7
+        sol = d_admm_solve(data, FirstOrderConfig(max_iters=1, sigma=sigma),
+                           x0=x0, u0=u0)
+        expected = np.linalg.solve(np.eye(m) + sigma * M @ M.T,
+                                   M @ (x0 - sigma * u0) - data.b)
+        np.testing.assert_allclose(sol.xi, expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("shape", ["tall_dense", "wide_dense"])
+    def test_apg_step_is_prox_gradient(self, shape):
+        data = ROUTE_SHAPES[shape]()
+        M = data.A.toarray()
+        x0 = np.random.default_rng(17).normal(size=M.shape[1])
+        L = 2.0 * np.linalg.eigvalsh(M.T @ M).max()
+        sol = apg_solve(data, FirstOrderConfig(max_iters=1, tol=0.0),
+                        x0=x0, lipschitz=L)
+        v = L * x0 - M.T @ (M @ x0 - data.b)
+        expected = prox_clustered(v, data.penalties).prox / L
+        np.testing.assert_allclose(sol.x, expected, rtol=1e-10, atol=1e-12)
+
+
+class TestCgWork:
+    def test_only_inexact_variant_reports_cg_iterations(self):
+        data = _problem(2)
+        cfg = lambda v: FirstOrderConfig(tol=1e-9, variant=v)  # noqa: E731
+        assert d_admm_solve(data, cfg("inexact")).total_cg_iters > 0
+        assert d_admm_solve(data, cfg("exact")).total_cg_iters == 0
+        assert d_admm_solve(data, cfg("linearized")).total_cg_iters == 0
