@@ -43,9 +43,11 @@ def newton(sub, v0, stop, ssn: SsnControls, deadline: float):
 
     sub supplies the formulation: aux(v) is the design product carried
     along with the iterate, prox(v, aux) the prox result at v, grad and
-    value the subproblem's gradient and value, direction(pr, g, counter)
-    the Newton step for -g (CG iterations added to counter[0]) and lift(h)
-    the change of aux along h.  stop(gnorm, v, pr) decides sufficiency.
+    value the subproblem's gradient and value, lift(h) the change of aux
+    along h, and direction(aux, pr, g, counter) the Newton step h for -g
+    together with lift(h), which a route may get more cheaply than lift
+    does (CG iterations added to counter[0]).  stop(gnorm, v, pr) decides
+    sufficiency.
 
     Returns (v, aux, pr, residuals, cg_iters, hit_cap); residuals holds the
     gradient norm at every iterate, hit_cap whether max_newton ran out.
@@ -61,13 +63,13 @@ def newton(sub, v0, stop, ssn: SsnControls, deadline: float):
         residuals.append(gn)
         if stop(gn, v, pr) or time.perf_counter() > deadline:
             return v, aux, pr, residuals, cg_counter[0], False
-        h = sub.direction(pr, g, cg_counter)
+        h, dh = sub.direction(aux, pr, g, cg_counter)
         gh = float(g @ h)
         if gh >= 0.0:
             # inexact direction lost descent; fall back to steepest descent
             h = -g
             gh = -gn * gn
-        dh = sub.lift(h)
+            dh = sub.lift(h)
         phi0 = sub.value(v, aux, pr)
         alpha = 1.0
         for _ in range(ssn.max_linesearch):

@@ -31,30 +31,43 @@ SIGMA0_CURVATURE = 100.0
 
 def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
                         cfg: SolverConfig, counter=None,
-                        gram: Optional[np.ndarray] = None) -> np.ndarray:
+                        gram: Optional[np.ndarray] = None,
+                        at_rhs: Optional[np.ndarray] = None):
     """Solve (I + sigma A M A^T) h = rhs to the inexact-Newton tolerance.
 
-    With M = P P^T (`ProxJacobian.restrict` applies P^T) the matrix is
-    I + sigma (AP)(AP)^T, k = |free| + pools columns.  Routing:
-    - gram = A^T A given (tall designs): Woodbury through the k-side,
-      h = rhs - A P (I/sigma + P^T G P)^{-1} P^T A^T rhs, one product with
-      A^T and one with A around a k x k Cholesky; no m x k array is formed;
-    - SMW on the thin factors W = [A_free, A_pooled] = AP when k < m
-      (exact, cost m k^2);
+    Returns (h, -A^T h): the step and the change of y = x/sigma - A^T xi
+    along it.  With M = P P^T (`ProxJacobian.restrict` applies P^T) the
+    matrix is I + sigma (AP)(AP)^T, k = |free| + pools columns.  Routing:
+    - gram = A^T A given (tall designs), with at_rhs = A^T rhs, which
+      the caller forms on the n-side: Woodbury through the k-side,
+      h = rhs - A P q with q = (I/sigma + P^T G P)^{-1} P^T A^T rhs, so
+      A^T h = A^T rhs - G P q.  One product with A around a k x k
+      Cholesky; no m x k array is formed;
+    - otherwise `_solve_thin` by cost, and -A^T h by one product with A^T.
+    """
+    if jac.free_idx.shape[0] + jac.npools == 0:
+        return rhs.copy(), -(A.tmatvec(rhs) if gram is None else at_rhs)
+    if gram is None:
+        h = _solve_thin(jac, A, sigma, rhs, cfg, counter)
+        return h, -A.tmatvec(h)
+    S = jac.restrict(jac.restrict(gram).T)
+    S[np.diag_indices_from(S)] += 1.0 / sigma
+    c, low = sla.cho_factor(S, lower=True)
+    pq = jac.extend(sla.cho_solve((c, low), jac.restrict(at_rhs)))
+    return rhs - A.matvec(pq), gram @ pq - at_rhs
+
+
+def _solve_thin(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
+                cfg: SolverConfig, counter) -> np.ndarray:
+    """h with (I + sigma A M A^T) h = rhs through the thin factors
+    W = [A_free, A_pooled] = AP:
+    - SMW when k < m (exact, cost m k^2);
     - dense assembly when m is small;
     - CG with the structured matvec otherwise (residual target
       min(eta_bar, ||rhs||^{1+tau})).
     """
     kdim = jac.free_idx.shape[0] + jac.npools
     m = A.m
-    if kdim == 0:
-        return rhs.copy()
-    if gram is not None:
-        S = jac.restrict(jac.restrict(gram).T)
-        S[np.diag_indices_from(S)] += 1.0 / sigma
-        c, low = sla.cho_factor(S, lower=True)
-        q = sla.cho_solve((c, low), jac.restrict(A.tmatvec(rhs)))
-        return rhs - A.matvec(jac.extend(q))
     A_free, A_pooled = design_factors(jac, A)
 
     if kdim <= cfg.dense_cap and kdim < m:
@@ -95,16 +108,24 @@ class DualSubproblem:
     with y = x_tilde/sigma - A^T xi (the aux vector `newton` carries) and
     gradient xi + b - sigma A prox_p(y); the conjugate-penalty term
     vanishes on its domain.  gram (A^T A or None) picks the Newton-system
-    route.
+    route.  With it, atb = A^T b and the route's right-hand side comes
+    from the n-side: A^T xi = x_tilde/sigma - y, so
+
+        A^T grad = (x_tilde/sigma - y) + A^T b - sigma G prox_p(y),
+
+    and a Newton step does one product with A for the gradient and one
+    in `solve_newton_system`.
     """
 
     def __init__(self, data: ProblemData, x_tilde: np.ndarray, sigma: float,
-                 cfg: SolverConfig, gram: Optional[np.ndarray] = None):
+                 cfg: SolverConfig, gram: Optional[np.ndarray] = None,
+                 atb: Optional[np.ndarray] = None):
         self.data = data
         self.pen = data.require_penalties()
         self.sigma = sigma
         self.cfg = cfg
         self.gram = gram
+        self.atb = atb
         self.x_over_sigma = x_tilde / sigma
         self.const = -float(x_tilde @ x_tilde) / (2.0 * sigma)
 
@@ -121,10 +142,15 @@ class DualSubproblem:
         return (0.5 * float(xi @ xi) + float(self.data.b @ xi)
                 + 0.5 * self.sigma * float(pr.prox @ pr.prox) + self.const)
 
-    def direction(self, pr, g, counter):
+    def direction(self, y, pr, g, counter):
         jac = build_jacobian(pr, self.pen)
+        at_rhs = None
+        if self.gram is not None:
+            at_rhs = ((y - self.x_over_sigma) - self.atb
+                      + self.sigma * (self.gram @ pr.prox))
         return solve_newton_system(jac, self.data.A, self.sigma, -g, self.cfg,
-                                   counter=counter, gram=self.gram)
+                                   counter=counter, gram=self.gram,
+                                   at_rhs=at_rhs)
 
     def lift(self, h):
         return -self.data.A.tmatvec(h)
@@ -143,7 +169,7 @@ class DualStep:
     sigma0 = SIGMA0_CURVATURE / L with L a 10-step power estimate of
     lambda_max(A^T A) (1 when A is zero), so the first subproblem's
     curvature sigma A M A^T has the same size whatever the scale of A and
-    b.  gram is `tall_gram`'s A^T A or None.
+    b.  gram is `tall_gram`'s A^T A or None, and atb = A^T b goes with it.
     """
 
     z = None
@@ -155,13 +181,15 @@ class DualStep:
         lip = estimate_lipschitz(data.A, iters=10)
         self.sigma0 = SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
         self.gram = tall_gram(data.A, cfg)
+        self.atb = None if self.gram is None else data.A.tmatvec(data.b)
         self.xi = np.zeros(data.A.m)
         self.u = self.x = np.zeros(data.A.n)  # replaced, never updated
 
     def inner(self, sigma, k, deadline):
         eps_k, delta_k, deltap_k = tolerances(k)
         sqrt_sigma = np.sqrt(sigma)
-        sub = DualSubproblem(self.data, self.x, sigma, self.cfg, self.gram)
+        sub = DualSubproblem(self.data, self.x, sigma, self.cfg, self.gram,
+                             self.atb)
 
         def stop(gn, _xi, pr):
             if gn <= self.floor:

@@ -24,6 +24,8 @@ from .metrics import duality_metrics, eta_kkt
 from .problem import ProblemData
 from .prox import penalty_value, prox_clustered, prox_conjugate
 
+EPS = np.finfo(np.float64).eps
+
 
 def solve_newton_system_primal(jac: ProxJacobian, A, sigma: float,
                                rhs: np.ndarray, cfg: SolverConfig,
@@ -71,8 +73,18 @@ class PrimalSubproblem:
     phi(x) = 1/2||Ax - b||^2 + p(z) - <y_tilde, x - z> + sigma/2 ||x - z||^2
              + ||x - x_tilde||^2 / (2 sigma).
 
-    Its gradient is the one in the module docstring.  Ax is the aux vector
-    `newton` carries; gram (A^T A or None) picks the Newton-system route.
+    Its gradient is the one in the module docstring.  gram (A^T A or None)
+    picks the Newton-system route and the aux vector `newton` carries.
+    Without it aux is Ax.  With it aux is G d, d = x - x_tilde, and the
+    least-squares part expands about x_tilde:
+
+        1/2||Ax - b||^2 = q + <g, d> + <d, G d>/2,   A^T(Ax - b) = g + G d,
+
+    with q = 1/2||A x_tilde - b||^2 and g = A^T(A x_tilde - b) from one
+    product with A and one with A^T per subproblem; a Newton step then
+    touches only n-vectors.  The expansion is centred at x_tilde so that
+    its terms shrink with the step instead of cancelling at the scale of
+    A^T b.
     """
 
     def __init__(self, data: ProblemData, x_tilde: np.ndarray,
@@ -87,44 +99,62 @@ class PrimalSubproblem:
         self.gram = gram
         self.shift = y_tilde + x_tilde / sigma
         self.coef = sigma + 1.0 / sigma
+        if gram is not None:
+            r = data.A.matvec(x_tilde) - data.b
+            self.q_tilde = 0.5 * float(r @ r)
+            self.g_tilde = data.A.tmatvec(r)
 
     def aux(self, x):
-        return self.data.A.matvec(x)
+        if self.gram is None:
+            return self.data.A.matvec(x)
+        return self.gram @ (x - self.x_tilde)
 
-    def prox(self, x, ax):
+    def prox(self, x, aux):
         return prox_clustered(self.sigma * x - self.y_tilde, self.pen)
 
-    def grad(self, x, ax, pr):
-        return (self.data.A.tmatvec(ax - self.data.b) + self.coef * x
-                - self.shift - pr.prox)
+    def grad(self, x, aux, pr):
+        if self.gram is None:
+            lsq = self.data.A.tmatvec(aux - self.data.b)
+        else:
+            lsq = self.g_tilde + aux
+        return lsq + self.coef * x - self.shift - pr.prox
 
-    def value(self, x, ax, pr):
+    def value(self, x, aux, pr):
         sigma = self.sigma
         z = pr.prox / sigma
-        r = ax - self.data.b
         d = x - z
         dx = x - self.x_tilde
-        return (0.5 * float(r @ r) + penalty_value(z, self.pen)
+        if self.gram is None:
+            r = aux - self.data.b
+            lsq = 0.5 * float(r @ r)
+        else:
+            lsq = (self.q_tilde + float(self.g_tilde @ dx)
+                   + 0.5 * float(dx @ aux))
+        return (lsq + penalty_value(z, self.pen)
                 - float(self.y_tilde @ d) + 0.5 * sigma * float(d @ d)
                 + float(dx @ dx) / (2.0 * sigma))
 
-    def direction(self, pr, g, counter):
+    def direction(self, aux, pr, g, counter):
         jac = build_jacobian(pr, self.pen)
-        return solve_newton_system_primal(jac, self.data.A, self.sigma, -g,
-                                          self.cfg, self.gram,
-                                          counter=counter)
+        h = solve_newton_system_primal(jac, self.data.A, self.sigma, -g,
+                                       self.cfg, self.gram, counter=counter)
+        return h, self.lift(h)
 
     def lift(self, h):
-        return self.data.A.matvec(h)
+        if self.gram is None:
+            return self.data.A.matvec(h)
+        return self.gram @ h
 
 
 class PrimalStep:
     """One outer iteration of the primal augmented Lagrangian.
 
-    inner: Newton-solve for x (inner tolerance proportional to the step
-    size, scaled by eps_k / sigma), then z <- prox_{p/sigma}(x - y/sigma)
-    and y <- y - sigma (x - z).  The multiplier step is taken even after a
-    capped inner solve, so every step is accepted.  For the optimality
+    inner: Newton-solve for x, then z <- prox_{p/sigma}(x - y/sigma) and
+    y <- y - sigma (x - z).  The inner tolerance is proportional to the
+    step size, scaled by eps_k / sigma, but never below EPS sigma ||x||:
+    the rounding level of the gradient's sigma x term, which no step can
+    get under.  The multiplier step is taken even after a capped inner
+    solve, so every step is accepted.  For the optimality
     measures the dual pair is xi = A z - b and u = proj_{dom p*}(-A^T xi).
     sigma0 = max(1, ||b|| / sqrt(m)).
     """
@@ -146,7 +176,7 @@ class PrimalStep:
         x0, z0, y0 = self.x, self.z, self.y
 
         def stop(gn, x_c, pr):
-            if gn <= self.floor:
+            if gn <= max(self.floor, EPS * sigma * float(np.linalg.norm(x_c))):
                 return True
             z_c = pr.prox / sigma
             y_c = y0 - sigma * (x_c - z_c)

@@ -105,6 +105,25 @@ class TestSubproblem:
         np.testing.assert_allclose(sub.aux(xi) + 0.3 * sub.lift(h),
                                    sub.aux(xi + 0.3 * h), atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gram_direction_matches_thin_factor_direction(self, seed):
+        # on the Gram route A^T grad is formed on the n-side from y, A^T b
+        # and G prox; step and lift must match the thin-factor route's
+        rng = np.random.default_rng(seed)
+        data = _random_problem(seed, m=30, n=6)
+        x_tilde = rng.normal(size=6)
+        xi = rng.normal(size=30)
+        gram, atb = data.A.gram(), data.A.tmatvec(data.b)
+        thin = _subproblem(data, x_tilde, 1.3)
+        tall = DualSubproblem(data, x_tilde, 1.3, SolverConfig(), gram, atb)
+        y = thin.aux(xi)
+        g, pr = _grad(thin, xi)
+        h, lift = thin.direction(y, pr, g, [0])
+        h_g, lift_g = tall.direction(y, pr, g, [0])
+        np.testing.assert_allclose(h_g, h, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(lift_g, lift, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(lift, thin.lift(h), rtol=1e-12)
+
 
 class TestNewtonSystem:
     @pytest.mark.parametrize("seed", range(12))
@@ -121,20 +140,27 @@ class TestNewtonSystem:
         H = np.eye(m) + sigma * A.toarray() @ M @ A.toarray().T
         rhs = rng.normal(size=m)
         want = np.linalg.solve(H, rhs)
-        got = solve_newton_system(jac, A, sigma, rhs, SolverConfig())
+        got, lift = solve_newton_system(jac, A, sigma, rhs, SolverConfig())
         np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
-        # the Gram route (Woodbury through the n-side) solves the same system
-        got = solve_newton_system(jac, A, sigma, rhs, SolverConfig(),
-                                  gram=A.gram())
+        np.testing.assert_array_equal(lift, -A.tmatvec(got))
+        # the Gram route (Woodbury through the n-side) solves the same
+        # system and returns the lift -A^T h without a product with A^T
+        got, lift = solve_newton_system(jac, A, sigma, rhs, SolverConfig(),
+                                        gram=A.gram(), at_rhs=A.tmatvec(rhs))
         np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
+        np.testing.assert_allclose(lift, -A.tmatvec(got), rtol=1e-10,
+                                   atol=1e-14 * np.linalg.norm(rhs))
 
     def test_identity_when_jacobian_vanishes(self):
         A = DesignMatrix(np.ones((3, 4)))
         pen = Penalties(10.0, 0.1)
         jac = build_jacobian(prox_clustered(np.full(4, 0.1), pen), pen)
         rhs = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(
-            solve_newton_system(jac, A, 2.0, rhs, SolverConfig()), rhs)
+        for gram, at_rhs in ((None, None), (A.gram(), A.tmatvec(rhs))):
+            h, lift = solve_newton_system(jac, A, 2.0, rhs, SolverConfig(),
+                                          gram=gram, at_rhs=at_rhs)
+            np.testing.assert_array_equal(h, rhs)
+            np.testing.assert_array_equal(lift, -A.tmatvec(rhs))
 
     def test_cg_route_agrees_with_direct(self):
         # force the CG branch by shrinking dense_cap
@@ -145,11 +171,12 @@ class TestNewtonSystem:
         pen = Penalties(0.05, 0.02)
         jac = build_jacobian(prox_clustered(y, pen), pen)
         rhs = rng.normal(size=m)
-        direct = solve_newton_system(jac, A, 1.5, rhs, SolverConfig())
+        direct, _ = solve_newton_system(jac, A, 1.5, rhs, SolverConfig())
         cfg = SolverConfig(dense_cap=1,
                            ssn=SsnControls(eta_bar=1e-12, tau=1.0))
         counter = [0]
-        viacg = solve_newton_system(jac, A, 1.5, rhs, cfg, counter=counter)
+        viacg, _ = solve_newton_system(jac, A, 1.5, rhs, cfg,
+                                       counter=counter)
         np.testing.assert_allclose(viacg, direct, atol=1e-6)
         assert counter[0] > 0
 

@@ -1,9 +1,16 @@
 """Tests for the primal augmented-Lagrangian / semismooth-Newton solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from clusterlasso.common import CONVERGED, SolverConfig
+from clusterlasso.data import (
+    ScenarioSpec,
+    generate_scenario,
+    penalties_from_alphas,
+)
 from clusterlasso.jacobian import build_jacobian
 from clusterlasso.linalg import DesignMatrix
 from clusterlasso.metrics import primal_objective
@@ -25,6 +32,16 @@ def _tall_problem(seed, m=30, n=6, beta=0.3, rho=0.1):
     return ProblemData(A, b, Penalties(beta, rho))
 
 
+def _scenario1(m, a_scale=1.0):
+    """Scenario 1, k=10, seed 1 with A scaled and penalties from alphas
+    1e-3, 1e-3."""
+    prob = generate_scenario(ScenarioSpec(1, k=10, seed=1, m_override=m))
+    data = ProblemData(DesignMatrix(a_scale * prob.data.A.toarray()),
+                       prob.data.b)
+    return dataclasses.replace(
+        data, penalties=penalties_from_alphas(1e-3, 1e-3, data))
+
+
 def _value(sub, x):
     ax = sub.aux(x)
     return sub.value(x, ax, sub.prox(x, ax))
@@ -37,6 +54,15 @@ def _grad(sub, x):
 
 
 class TestSubproblem:
+    """Checks of `PrimalSubproblem` with aux = Ax (no Gram matrix);
+    `TestSubproblemGram` runs them on the Gram route."""
+
+    gram = False
+
+    def _sub(self, data, x_tilde, y_tilde, sigma):
+        return PrimalSubproblem(data, x_tilde, y_tilde, sigma, SolverConfig(),
+                                data.A.gram() if self.gram else None)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_gradient_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
@@ -45,8 +71,7 @@ class TestSubproblem:
         y_tilde = rng.normal(size=5)
         sigma = float(rng.uniform(0.5, 3.0))
         x = rng.normal(size=5)
-        sub = PrimalSubproblem(data, x_tilde, y_tilde, sigma, SolverConfig(),
-                               None)
+        sub = self._sub(data, x_tilde, y_tilde, sigma)
         g, _ = _grad(sub, x)
         h = 1e-6
         fd = np.zeros(5)
@@ -61,17 +86,16 @@ class TestSubproblem:
         # the plain objective at z plus the residual coupling terms
         data = _tall_problem(1, m=8, n=4)
         x = np.zeros(4)
-        sub = PrimalSubproblem(data, x, np.zeros(4), 1.0, SolverConfig(), None)
+        sub = self._sub(data, x, np.zeros(4), 1.0)
         assert _value(sub, x) == pytest.approx(0.5 * float(data.b @ data.b))
 
     def test_gradient_prox_result_consistent(self):
         # the prox result is taken at sigma x - y_tilde, the point whose
-        # Jacobian feeds the Newton system; Ax moves along lift(h) = A h
+        # Jacobian feeds the Newton system; aux moves along lift(h)
         rng = np.random.default_rng(4)
         data = _tall_problem(4, m=10, n=5)
         x_tilde, y_tilde, x, h = rng.normal(size=(4, 5))
-        sub = PrimalSubproblem(data, x_tilde, y_tilde, 1.5, SolverConfig(),
-                               None)
+        sub = self._sub(data, x_tilde, y_tilde, 1.5)
         g, pr = _grad(sub, x)
         want = prox_clustered(1.5 * x - y_tilde, data.penalties).prox
         np.testing.assert_allclose(pr.prox, want)
@@ -80,6 +104,27 @@ class TestSubproblem:
             + (1.5 + 1.0 / 1.5) * x - (y_tilde + x_tilde / 1.5) - want)
         np.testing.assert_allclose(sub.aux(x) + 0.3 * sub.lift(h),
                                    sub.aux(x + 0.3 * h), atol=1e-12)
+
+
+class TestSubproblemGram(TestSubproblem):
+    gram = True
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_value_and_gradient_match_design_route(self, seed):
+        # aux = G (x - x_tilde) with the least-squares part expanded about
+        # x_tilde gives the same value and gradient as aux = Ax
+        rng = np.random.default_rng(seed)
+        data = _tall_problem(seed, m=40, n=8)
+        x_tilde, y_tilde = rng.normal(size=(2, 8))
+        design = PrimalSubproblem(data, x_tilde, y_tilde, 2.5, SolverConfig(),
+                                  None)
+        tall = self._sub(data, x_tilde, y_tilde, 2.5)
+        for x in (x_tilde, x_tilde + 1e-3 * rng.normal(size=8),
+                  rng.normal(size=8)):
+            np.testing.assert_allclose(_value(tall, x), _value(design, x),
+                                       rtol=1e-10)
+            np.testing.assert_allclose(_grad(tall, x)[0], _grad(design, x)[0],
+                                       rtol=1e-10, atol=1e-12)
 
 
 class TestNewtonSystemPrimal:
@@ -203,3 +248,25 @@ class TestSolvePrimal:
         assert dense_route.status == CONVERGED
         assert cg_route.status == CONVERGED
         np.testing.assert_allclose(dense_route.x, cg_route.x, atol=1e-6)
+
+    def test_inner_solves_stop_at_the_gradient_rounding_floor(self):
+        # At sigma = 1e6 the gradient cannot drop below the rounding of
+        # its sigma x term (~1e-9 here) while the inner rule asks for
+        # ~5e-10; an inner solve must stop there instead of taking
+        # 50 steps that change nothing.
+        data = _scenario1(5000)
+        sol = solve_primal(data)
+        cap = SolverConfig().ssn.max_newton
+        assert sol.status == CONVERGED
+        assert all(len(r) - 1 < cap for r in sol.newton_residuals)
+        assert sol.total_newton_iters <= 60
+
+    def test_no_capped_inner_solve_on_rescaled_design(self):
+        # the Gram route expands the least-squares term about x_tilde; an
+        # expansion about 0 loses the gradient to cancellation at the
+        # scale of A^T b once A is scaled by 100, and every inner solve
+        # then caps
+        data = _scenario1(2000, a_scale=100.0)
+        sol = solve_primal(data, SolverConfig(max_outer=30))
+        cap = SolverConfig().ssn.max_newton
+        assert all(len(r) - 1 < cap for r in sol.newton_residuals)
