@@ -15,7 +15,7 @@ from .data import (LibsvmParseError, ScenarioSpec, SyntheticProblem,
 from .first_order import (FirstOrderConfig, apg_solve, d_admm_solve,
                           p_admm_solve)
 from .jacobian import ProxJacobian, build_jacobian, design_factors
-from .linalg import (CgControls, DesignMatrix, MaxItersExceeded, cg_solve,
+from .linalg import (DesignMatrix, MaxItersExceeded, cg_solve,
                      estimate_lipschitz)
 from .metrics import duality_metrics, eta_kkt, eta_rel, gnnz, nnz
 from .problem import ProblemData
@@ -28,7 +28,7 @@ from .ssnal_primal import solve_primal
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPartition", "CgControls", "CONVERGED", "DesignMatrix",
+    "BlockPartition", "CONVERGED", "DesignMatrix",
     "FirstOrderConfig", "LibsvmParseError", "MAX_ITERS", "MAX_TIME",
     "MaxItersExceeded", "Penalties", "ProblemData", "ProxJacobian",
     "ProxResult", "ScenarioSpec", "Solution", "SolverConfig", "SsnControls",

@@ -4,16 +4,10 @@ synthetic data sets.
 Exit codes: 0 success, 1 solver did not converge, 2 bad arguments.
 """
 
-import os
-
-_nt = os.environ.get("CLUSTERLASSO_NUM_THREADS")
-if _nt:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _nt)
-
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional

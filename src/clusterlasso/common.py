@@ -8,8 +8,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .linalg import CgControls
-
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 MAX_TIME = "max_time"
@@ -101,10 +99,16 @@ def tolerances(k: int):
     return EPS0 * 0.5 ** k, DELTA0 * 0.5 ** k, 1.0 / (k + 1.0)
 
 
-def tall_gram(A, cfg) -> Optional[np.ndarray]:
+# largest order of a dense matrix a Newton route will form and factor
+DENSE_CAP = 4000
+# CG iteration cap of the Newton routes that solve by CG
+NEWTON_CG_ITERS = 500
+
+
+def tall_gram(A) -> Optional[np.ndarray]:
     """A^T A when the design is tall enough for Newton systems through the
-    n-side (n <= cfg.dense_cap and m >= 4n), else None."""
-    return A.gram() if A.n <= cfg.dense_cap and A.m >= 4 * A.n else None
+    n-side (n <= DENSE_CAP and m >= 4n), else None."""
+    return A.gram() if A.n <= DENSE_CAP and A.m >= 4 * A.n else None
 
 
 def augmented_lagrangian(make_step, data, cfg) -> "Solution":
@@ -167,18 +171,17 @@ def augmented_lagrangian(make_step, data, cfg) -> "Solution":
 
 @dataclass
 class SolverConfig:
-    """Stopping and linear-solve controls of the SSNAL solvers.
+    """Stopping controls and inner Newton constants of the SSNAL solvers.
 
-    The sigma schedule and the inner tolerance sequences are fixed; they
-    are the module constants read by `augmented_lagrangian`.
+    The sigma schedule, the inner tolerance sequences and the Newton-system
+    routes are fixed: they are module constants (`SIGMA_*`, `EPS0`,
+    `DELTA0`, `DENSE_CAP`, `NEWTON_CG_ITERS`).
     """
 
     tol: float = 1e-6
     max_outer: int = 100
     max_time: float = 10800.0
     ssn: SsnControls = field(default_factory=SsnControls)
-    cg: CgControls = field(default_factory=lambda: CgControls(max_iters=500))
-    dense_cap: int = 4000
 
     def __post_init__(self):
         if self.tol <= 0:

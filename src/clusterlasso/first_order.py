@@ -5,7 +5,7 @@ at most one n x n or m x m matrix, on whichever side is smaller.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -13,12 +13,18 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .common import CONVERGED, MAX_ITERS, MAX_TIME, Solution
-from .linalg import CgControls, cg_solve, estimate_lipschitz
+from .linalg import cg_solve, estimate_lipschitz
 from .metrics import duality_metrics, eta_kkt, eta_rel, primal_objective
 from .problem import ProblemData
 from .prox import prox_clustered, prox_conjugate
 
-GOLDEN_LIMIT = (1.0 + np.sqrt(5.0)) / 2.0
+# ADMM multiplier step length; convergence needs kappa < (1 + sqrt 5) / 2,
+# the golden ratio, and 1.618 sits just below it
+KAPPA = 1.618
+# ADMM penalty parameter at the first iteration (adaptive_sigma moves it)
+SIGMA0 = 1.0
+# CG iteration cap of the inexact d-ADMM solve
+CG_MAX_ITERS = 1000
 
 
 @dataclass
@@ -32,7 +38,9 @@ class FirstOrderConfig:
     when n < m), refactored whenever adaptive_sigma moves sigma; "inexact"
     solves by warm-started CG with a summable tolerance
     min(0.9^k, 0.1 ||rhs||); "linearized" replaces the solve with a
-    majorized step of weight lin_tau >= lambda_max(A A^T).
+    majorized step of weight `estimate_lipschitz(A)` >= lambda_max(A A^T).
+    The ADMM step length, starting sigma and CG cap are the module
+    constants KAPPA, SIGMA0 and CG_MAX_ITERS.
     """
 
     tol: float = 1e-6
@@ -40,21 +48,12 @@ class FirstOrderConfig:
     ref_pobj: Optional[float] = None
     max_iters: int = 20000
     max_time: float = 10800.0
-    kappa: float = 1.618
-    sigma: float = 1.0
     variant: str = "exact"
-    lin_tau: Optional[float] = None
     adaptive_sigma: bool = False
     track_objective: bool = False
     check_every: int = 1
-    cg: CgControls = field(default_factory=lambda: CgControls(max_iters=1000))
 
     def __post_init__(self):
-        if not 0 < self.kappa < GOLDEN_LIMIT:
-            raise ValueError(
-                f"kappa must lie in (0, {GOLDEN_LIMIT:.6f})")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
         if self.tol_metric not in ("kkt", "rel"):
             raise ValueError("tol_metric must be 'kkt' or 'rel'")
         if self.variant not in ("exact", "inexact", "linearized"):
@@ -128,7 +127,7 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     m, n = A.m, A.n
     t0 = time.perf_counter()
     deadline = t0 + cfg.max_time
-    sigma = cfg.sigma
+    sigma = SIGMA0
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
@@ -136,7 +135,6 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     at_xi = np.zeros(n)
 
     gram_side = cfg.variant == "exact" and n < m
-    lin_tau = None
     if cfg.variant == "exact":
         if gram_side:
             gram = A.gram()
@@ -153,9 +151,9 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
 
         chol = factor(sigma)
     elif cfg.variant == "linearized":
-        lin_tau = cfg.lin_tau if cfg.lin_tau is not None else estimate_lipschitz(A)
-        if lin_tau <= 0:
-            raise ValueError("linearized variant needs lin_tau > 0")
+        lip = estimate_lipschitz(A)
+        if lip <= 0:
+            raise ValueError("linearized variant needs a nonzero design")
 
     cg_count = [0]
 
@@ -170,7 +168,7 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     for it in range(1, cfg.max_iters + 1):
         if cfg.variant == "linearized":
             g = A.matvec(at_xi + u - x / sigma)
-            xi = (sigma * lin_tau * xi - b - sigma * g) / (1.0 + sigma * lin_tau)
+            xi = (sigma * lip * xi - b - sigma * g) / (1.0 + sigma * lip)
             at_xi = A.tmatvec(xi)
         elif gram_side:
             w = x - sigma * u
@@ -182,14 +180,13 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
                 xi = sla.cho_solve(chol, rhs)
             else:
                 tol_k = min(0.9 ** it, 0.1 * float(np.linalg.norm(rhs)))
-                ctrl = CgControls(max_iters=cfg.cg.max_iters, rel_tol=0.0,
-                                  abs_tol=max(tol_k, 1e-14))
-                xi = cg_solve(apply, rhs, ctrl, x0=xi)
+                xi = cg_solve(apply, rhs, max(tol_k, 1e-14), CG_MAX_ITERS,
+                              x0=xi)
             at_xi = A.tmatvec(xi)
         v = x / sigma - at_xi
         pr = prox_clustered(v, pen)
         u = v - pr.prox
-        x = x - cfg.kappa * sigma * (at_xi + u)
+        x = x - KAPPA * sigma * (at_xi + u)
 
         if cfg.adaptive_sigma and it % 100 == 0 and cfg.variant != "linearized":
             scale = _sigma_scale(float(np.linalg.norm(at_xi + u)),
@@ -224,7 +221,7 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     n = A.n
     t0 = time.perf_counter()
     deadline = t0 + cfg.max_time
-    sigma = cfg.sigma
+    sigma = SIGMA0
 
     z = np.zeros(n) if z0 is None else np.array(z0, dtype=np.float64)
     yv = np.zeros(n) if y0 is None else np.array(y0, dtype=np.float64)
@@ -248,7 +245,7 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         x = sla.cho_solve(chol, atb + sigma * z + yv)
         pr = prox_clustered(sigma * x - yv, pen)
         z = pr.prox / sigma
-        yv = yv - cfg.kappa * sigma * (x - z)
+        yv = yv - KAPPA * sigma * (x - z)
 
         if cfg.adaptive_sigma and it % 100 == 0:
             scale = _sigma_scale(float(np.linalg.norm(x - z)),

@@ -44,21 +44,9 @@ class ProxJacobian:
         return self.pool_sizes.shape[0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """M v: identity on free coordinates, averaging on pooled runs."""
-        v = np.asarray(v, dtype=np.float64)
-        out = np.zeros_like(v)
-        if self.free_idx.size:
-            out[self.free_idx] = v[self.free_idx]
-        if self.pool_idx.size:
-            seg = v[self.pool_idx]
-            sums = np.add.reduceat(seg, self.pool_offsets)
-            out[self.pool_idx] = np.repeat(sums / self.pool_sizes,
-                                           self.pool_sizes)
-        return out
-
-    def apply_complement(self, v: np.ndarray) -> np.ndarray:
-        """(I - M) v."""
-        return np.asarray(v, dtype=np.float64) - self.apply(v)
+        """M v = P P^T v: identity on free coordinates, averaging on pooled
+        runs."""
+        return self.extend(self.restrict(v))
 
     def _pool_scale(self) -> np.ndarray:
         return 1.0 / np.sqrt(self.pool_sizes.astype(np.float64))

@@ -4,8 +4,6 @@ DesignMatrix hides the dense/sparse split: dense data is kept column-major
 (solvers slice columns constantly), sparse data as CSR with sorted indices.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -19,19 +17,6 @@ class MaxItersExceeded(RuntimeError):
         self.x = x
         self.residual = residual
         self.iters = iters
-
-
-@dataclass(frozen=True)
-class CgControls:
-    max_iters: int = 500
-    rel_tol: float = 1e-9
-    abs_tol: float = 0.0
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.rel_tol < 0 or self.abs_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
 
 
 class DesignMatrix:
@@ -103,14 +88,15 @@ class DesignMatrix:
         return f"DesignMatrix({self.m}x{self.n}, {kind})"
 
 
-def cg_solve(apply, rhs: np.ndarray, ctrl: CgControls, x0=None) -> np.ndarray:
+def cg_solve(apply, rhs: np.ndarray, tol: float, max_iters: int,
+             x0=None) -> np.ndarray:
     """Conjugate gradients for SPD operators.
 
-    Stops when ||apply(x) - rhs|| <= max(abs_tol, rel_tol * ||rhs||); raises
-    MaxItersExceeded (carrying the last iterate) past ctrl.max_iters.
+    Stops when ||apply(x) - rhs|| <= tol, an absolute level; raises
+    MaxItersExceeded (carrying the last iterate) after max_iters
+    iterations.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    tol = max(ctrl.abs_tol, ctrl.rel_tol * float(np.linalg.norm(rhs)))
     if x0 is None:
         x = np.zeros_like(rhs)
         r = rhs.copy()
@@ -121,7 +107,7 @@ def cg_solve(apply, rhs: np.ndarray, ctrl: CgControls, x0=None) -> np.ndarray:
     if np.sqrt(rr) <= tol:
         return x
     p = r.copy()
-    for it in range(ctrl.max_iters):
+    for _ in range(max_iters):
         ap = apply(p)
         alpha = rr / float(p @ ap)
         x += alpha * p
@@ -131,7 +117,7 @@ def cg_solve(apply, rhs: np.ndarray, ctrl: CgControls, x0=None) -> np.ndarray:
             return x
         p = r + (rr_new / rr) * p
         rr = rr_new
-    raise MaxItersExceeded(x, np.sqrt(rr), ctrl.max_iters)
+    raise MaxItersExceeded(x, np.sqrt(rr), max_iters)
 
 
 def estimate_lipschitz(A, iters: int = 100, seed: int = 0) -> float:

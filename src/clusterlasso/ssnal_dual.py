@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .common import (SolverConfig, Solution, augmented_lagrangian, newton,
-                     tall_gram, tolerances)
+from .common import (DENSE_CAP, NEWTON_CG_ITERS, SolverConfig, Solution,
+                     augmented_lagrangian, newton, tall_gram, tolerances)
 from .jacobian import ProxJacobian, build_jacobian, design_factors
-from .linalg import CgControls, cg_solve, estimate_lipschitz
+from .linalg import cg_solve, estimate_lipschitz
 from .metrics import duality_metrics, eta_kkt
 from .problem import ProblemData
 from .prox import prox_clustered
@@ -61,23 +61,23 @@ def _solve_thin(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
                 cfg: SolverConfig, counter) -> np.ndarray:
     """h with (I + sigma A M A^T) h = rhs through the thin factors
     W = [A_free, A_pooled] = AP:
-    - SMW when k < m (exact, cost m k^2);
-    - dense assembly when m is small;
+    - SMW when k < m and k <= DENSE_CAP (exact, cost m k^2);
+    - dense assembly when m <= DENSE_CAP;
     - CG with the structured matvec otherwise (residual target
-      min(eta_bar, ||rhs||^{1+tau})).
+      min(eta_bar, ||rhs||^{1+tau}), at most NEWTON_CG_ITERS iterations).
     """
     kdim = jac.free_idx.shape[0] + jac.npools
     m = A.m
     A_free, A_pooled = design_factors(jac, A)
 
-    if kdim <= cfg.dense_cap and kdim < m:
+    if kdim <= DENSE_CAP and kdim < m:
         W = np.hstack([A_free.toarray(), A_pooled])
         S = W.T @ W
         S[np.diag_indices_from(S)] += 1.0 / sigma
         c, low = sla.cho_factor(S, lower=True)
         q = sla.cho_solve((c, low), W.T @ rhs)
         return rhs - W @ q
-    if m <= cfg.dense_cap:
+    if m <= DENSE_CAP:
         Af = A_free.toarray()
         V = sigma * (Af @ Af.T)
         if A_pooled.size:
@@ -95,8 +95,7 @@ def _solve_thin(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
         q = np.concatenate([A_free.tmatvec(v), A_pooled.T @ v])
         return v + sigma * (A_free.matvec(q[:nf]) + A_pooled @ q[nf:])
 
-    ctrl = CgControls(max_iters=cfg.cg.max_iters, rel_tol=0.0, abs_tol=target)
-    return cg_solve(apply, rhs, ctrl)
+    return cg_solve(apply, rhs, target, NEWTON_CG_ITERS)
 
 
 class DualSubproblem:
@@ -180,7 +179,7 @@ class DualStep:
         self.floor = 1e-13 * (1.0 + float(np.linalg.norm(data.b)))
         lip = estimate_lipschitz(data.A, iters=10)
         self.sigma0 = SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
-        self.gram = tall_gram(data.A, cfg)
+        self.gram = tall_gram(data.A)
         self.atb = None if self.gram is None else data.A.tmatvec(data.b)
         self.xi = np.zeros(data.A.m)
         self.u = self.x = np.zeros(data.A.n)  # replaced, never updated

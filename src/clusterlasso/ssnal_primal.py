@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .common import (SolverConfig, Solution, augmented_lagrangian, newton,
-                     tall_gram, tolerances)
+from .common import (NEWTON_CG_ITERS, SolverConfig, Solution,
+                     augmented_lagrangian, newton, tall_gram, tolerances)
 from .jacobian import ProxJacobian, build_jacobian
-from .linalg import CgControls, cg_solve
+from .linalg import cg_solve
 from .metrics import duality_metrics, eta_kkt
 from .problem import ProblemData
 from .prox import penalty_value, prox_clustered, prox_conjugate
@@ -33,12 +33,13 @@ def solve_newton_system_primal(jac: ProxJacobian, A, sigma: float,
                                counter=None) -> np.ndarray:
     """Solve (A^T A + sigma (I - M) + I/sigma) h = rhs.
 
-    Dense Cholesky when a cached Gram matrix is available and n is small;
-    the dense matrix is assembled directly from the mask/run structure.
-    Otherwise CG with the structured matvec.
+    With a cached Gram matrix (`tall_gram`, so n <= DENSE_CAP): dense
+    Cholesky of the matrix assembled from the mask/run structure.
+    Otherwise CG with the structured matvec to the residual target
+    min(eta_bar, ||rhs||^{1+tau}), at most NEWTON_CG_ITERS iterations.
     """
     n = jac.n
-    if gram is not None and n <= cfg.dense_cap:
+    if gram is not None:
         U = np.array(gram, dtype=np.float64)
         # add sigma (I - M) diagonally without cancellation: free
         # coordinates get 0, everything else sigma, pools then subtract
@@ -58,11 +59,9 @@ def solve_newton_system_primal(jac: ProxJacobian, A, sigma: float,
     def apply(v):
         if counter is not None:
             counter[0] += 1
-        quad = gram @ v if gram is not None else A.tmatvec(A.matvec(v))
-        return quad + sigma * jac.apply_complement(v) + v / sigma
+        return A.tmatvec(A.matvec(v)) + sigma * (v - jac.apply(v)) + v / sigma
 
-    ctrl = CgControls(max_iters=cfg.cg.max_iters, rel_tol=0.0, abs_tol=target)
-    return cg_solve(apply, rhs, ctrl)
+    return cg_solve(apply, rhs, target, NEWTON_CG_ITERS)
 
 
 class PrimalSubproblem:
@@ -166,7 +165,7 @@ class PrimalStep:
         self.pen = data.require_penalties()
         self.floor = 1e-13 * (1.0 + float(np.linalg.norm(data.b)))
         self.sigma0 = max(1.0, float(np.linalg.norm(data.b)) / np.sqrt(A.m))
-        self.gram = tall_gram(A, cfg)
+        self.gram = tall_gram(A)
         # every iterate is replaced, never updated in place
         self.x = self.z = self.y = self.u = np.zeros(A.n)
         self.xi = np.zeros(A.m)

@@ -5,6 +5,7 @@ import dataclasses
 
 import clusterlasso
 from clusterlasso.common import SolverConfig
+from clusterlasso.first_order import FirstOrderConfig
 
 
 def test_every_export_resolves():
@@ -22,11 +23,26 @@ def test_removed_warm_start_types_are_gone():
 
 def test_solver_config_has_no_schedule_knobs():
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    assert fields == {"tol", "max_outer", "max_time", "ssn", "cg",
-                      "dense_cap"}
+    assert fields == {"tol", "max_outer", "max_time", "ssn"}
     for gone in ("sigma0", "sigma_growth", "sigma_max", "sigma_shrink",
-                 "sigma_min", "eps0", "delta0", "ties_tol"):
+                 "sigma_min", "eps0", "delta0", "ties_tol", "cg",
+                 "dense_cap"):
         assert not hasattr(SolverConfig(), gone)
+
+
+def test_first_order_config_has_no_constant_knobs():
+    fields = {f.name for f in dataclasses.fields(FirstOrderConfig)}
+    for gone in ("kappa", "sigma", "lin_tau", "cg"):
+        assert gone not in fields
+        assert not hasattr(FirstOrderConfig(), gone)
+
+
+def test_cg_controls_are_gone():
+    from clusterlasso import linalg
+
+    assert "CgControls" not in clusterlasso.__all__
+    assert not hasattr(clusterlasso, "CgControls")
+    assert not hasattr(linalg, "CgControls")
 
 
 def test_estimate_lipschitz_is_one_function():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from clusterlasso import first_order
 from clusterlasso.common import CONVERGED
 from clusterlasso.first_order import (
-    GOLDEN_LIMIT,
     FirstOrderConfig,
     apg_solve,
     d_admm_solve,
@@ -44,17 +44,6 @@ ROUTE_SHAPES = {
 
 
 class TestConfig:
-    def test_kappa_range(self):
-        FirstOrderConfig(kappa=1.0)
-        FirstOrderConfig(kappa=1.618)
-        with pytest.raises(ValueError):
-            FirstOrderConfig(kappa=GOLDEN_LIMIT)
-        with pytest.raises(ValueError):
-            FirstOrderConfig(kappa=0.0)
-
-    def test_golden_limit_value(self):
-        assert GOLDEN_LIMIT == pytest.approx(1.6180339887, abs=1e-9)
-
     def test_rel_metric_needs_reference(self):
         with pytest.raises(ValueError):
             FirstOrderConfig(tol_metric="rel")
@@ -222,9 +211,11 @@ class TestAdmmDetails:
                              z0=first.z, y0=np.zeros(8))
         assert again.outer_iters <= first.outer_iters
 
-    def test_adaptive_sigma_still_converges(self):
+    def test_adaptive_sigma_still_converges(self, monkeypatch):
+        # start far from a good sigma so that the adaptive rule must move it
+        monkeypatch.setattr(first_order, "SIGMA0", 100.0)
         data = _problem(9)
-        cfg = FirstOrderConfig(tol=1e-8, sigma=100.0, adaptive_sigma=True)
+        cfg = FirstOrderConfig(tol=1e-8, adaptive_sigma=True)
         for runner in (d_admm_solve, p_admm_solve):
             sol = runner(data, cfg)
             assert sol.status == CONVERGED
@@ -256,14 +247,17 @@ class TestOneStep:
     equations that define it."""
 
     @pytest.mark.parametrize("shape", sorted(ROUTE_SHAPES))
-    def test_d_admm_step_solves_dual_system(self, shape):
+    def test_d_admm_step_solves_dual_system(self, shape, monkeypatch):
         data = ROUTE_SHAPES[shape]()
         M = data.A.toarray()
         m, n = M.shape
         rng = np.random.default_rng(16)
         x0, u0 = rng.normal(size=n), rng.normal(size=n)
+        # sigma != 1, so that a sigma dropped or misplaced in the system
+        # still fails the check
         sigma = 0.7
-        sol = d_admm_solve(data, FirstOrderConfig(max_iters=1, sigma=sigma),
+        monkeypatch.setattr(first_order, "SIGMA0", sigma)
+        sol = d_admm_solve(data, FirstOrderConfig(max_iters=1),
                            x0=x0, u0=u0)
         expected = np.linalg.solve(np.eye(m) + sigma * M @ M.T,
                                    M @ (x0 - sigma * u0) - data.b)

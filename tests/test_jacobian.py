@@ -53,12 +53,6 @@ class TestStructure:
         np.testing.assert_array_equal(_dense(jac),
                                       np.diag([1.0, 0.0, 1.0]))
 
-    def test_apply_complement(self):
-        rng = np.random.default_rng(0)
-        jac = _jac_at(rng.normal(size=20), beta=0.2, rho=0.1)
-        v = rng.normal(size=20)
-        np.testing.assert_allclose(jac.apply_complement(v), v - jac.apply(v))
-
     def test_extend_restrict_is_apply(self):
         # P P^T = M, and restrict works row-wise on matrices too
         rng = np.random.default_rng(1)

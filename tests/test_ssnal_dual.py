@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from clusterlasso import ssnal_dual
 from clusterlasso.common import (
     CONVERGED,
     SolverConfig,
@@ -162,8 +163,7 @@ class TestNewtonSystem:
             np.testing.assert_array_equal(h, rhs)
             np.testing.assert_array_equal(lift, -A.tmatvec(rhs))
 
-    def test_cg_route_agrees_with_direct(self):
-        # force the CG branch by shrinking dense_cap
+    def test_cg_route_agrees_with_direct(self, monkeypatch):
         rng = np.random.default_rng(77)
         m, n = 10, 9
         A = DesignMatrix(rng.normal(size=(m, n)))
@@ -172,8 +172,9 @@ class TestNewtonSystem:
         jac = build_jacobian(prox_clustered(y, pen), pen)
         rhs = rng.normal(size=m)
         direct, _ = solve_newton_system(jac, A, 1.5, rhs, SolverConfig())
-        cfg = SolverConfig(dense_cap=1,
-                           ssn=SsnControls(eta_bar=1e-12, tau=1.0))
+        # force the CG branch by shrinking the dense-matrix cap
+        monkeypatch.setattr(ssnal_dual, "DENSE_CAP", 1)
+        cfg = SolverConfig(ssn=SsnControls(eta_bar=1e-12, tau=1.0))
         counter = [0]
         viacg, _ = solve_newton_system(jac, A, 1.5, rhs, cfg,
                                        counter=counter)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from clusterlasso import common
 from clusterlasso.common import CONVERGED, SolverConfig
 from clusterlasso.data import (
     ScenarioSpec,
@@ -237,14 +238,16 @@ class TestSolvePrimal:
         assert sol.total_newton_iters == sum(
             len(r) - 1 for r in sol.newton_residuals)
 
-    def test_both_newton_routes_reach_the_same_solution(self):
-        # m >= 4n caches the Gram matrix (dense route); m < 4n goes
-        # through CG.  Same problem data, same answer.
+    def test_both_newton_routes_reach_the_same_solution(self, monkeypatch):
+        # m >= 4n caches the Gram matrix (dense route); with no Gram
+        # matrix cached the primal goes through CG.  Same problem data,
+        # same answer.
         data = _tall_problem(36, m=40, n=5)
         short = ProblemData(DesignMatrix(data.A.toarray()), data.b,
                             data.penalties)
         dense_route = solve_primal(data, SolverConfig(tol=1e-8))
-        cg_route = solve_primal(short, SolverConfig(tol=1e-8, dense_cap=1))
+        monkeypatch.setattr(common, "DENSE_CAP", 1)
+        cg_route = solve_primal(short, SolverConfig(tol=1e-8))
         assert dense_route.status == CONVERGED
         assert cg_route.status == CONVERGED
         np.testing.assert_allclose(dense_route.x, cg_route.x, atol=1e-6)
