@@ -22,8 +22,8 @@ from .first_order import FirstOrderConfig
 from .metrics import gnnz, nnz
 from .prox import Penalties
 
-SOLVER_NAMES = ("ssnal-d", "ssnal-p", "admm-d", "admm-p", "iadmm", "ladmm",
-                "apg", "auto")
+SOLVER_NAMES = ("ssnal-d", "ssnal-p", "admm-d", "admm-p", "iadmm", "apg",
+                "auto")
 
 
 @dataclass
@@ -61,9 +61,17 @@ def write_vector(path, x) -> None:
 
 
 def read_vector(path) -> np.ndarray:
+    """Inverse of `write_vector`; raises ValueError unless the file holds
+    the 8-byte header and exactly as many values as it declares."""
     with open(path, "rb") as fh:
-        size = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        return np.frombuffer(fh.read(8 * size), dtype="<f8").copy()
+        raw = fh.read()
+    if len(raw) < 8:
+        raise ValueError(f"{path}: missing the 8-byte length header")
+    size = int(np.frombuffer(raw[:8], dtype="<u8")[0])
+    if len(raw) - 8 != 8 * size:
+        raise ValueError(f"{path}: header declares {size} values, "
+                         f"payload holds {len(raw) - 8} bytes")
+    return np.frombuffer(raw[8:], dtype="<f8").copy()
 
 
 def _resolve_solver(name: str, data) -> str:
@@ -90,9 +98,6 @@ def _run_solver(name: str, data, tol: float, max_time: float,
     if name == "iadmm":
         return first_order.d_admm_solve(
             data, FirstOrderConfig(variant="inexact", **kwargs))
-    if name == "ladmm":
-        return first_order.d_admm_solve(
-            data, FirstOrderConfig(variant="linearized", **kwargs))
     if name == "admm-p":
         return first_order.p_admm_solve(data, FirstOrderConfig(**kwargs))
     if name == "apg":

@@ -15,29 +15,33 @@ MAX_TIME = "max_time"
 
 @dataclass(frozen=True)
 class SsnControls:
-    """Inner semismooth-Newton constants (Armijo + inexact-direction rule)."""
+    """Inner semismooth-Newton step cap; the Armijo and inexact-direction
+    constants are the module constants below."""
 
-    mu: float = 1e-4
-    eta_bar: float = 0.1
-    tau: float = 0.5
-    ls_shrink: float = 0.5
     max_newton: int = 50
-    max_linesearch: int = 40
-
-    def __post_init__(self):
-        if not 0 < self.mu < 0.5:
-            raise ValueError("mu must lie in (0, 1/2)")
-        if not 0 < self.eta_bar < 1:
-            raise ValueError("eta_bar must lie in (0, 1)")
-        if not 0 < self.tau <= 1:
-            raise ValueError("tau must lie in (0, 1]")
-        if not 0 < self.ls_shrink < 1:
-            raise ValueError("ls_shrink must lie in (0, 1)")
 
 
-def newton(sub, v0, stop, ssn: SsnControls, deadline: float):
+# Armijo rule of the inner line search: accept alpha once the value drops
+# by MU alpha <g, h>, else shrink alpha by LS_SHRINK, at most
+# MAX_LINESEARCH times
+MU = 1e-4
+LS_SHRINK = 0.5
+MAX_LINESEARCH = 40
+# inexact Newton direction: the linear solve's residual target is
+# min(ETA_BAR, ||rhs||^{1+TAU})
+ETA_BAR = 0.1
+TAU = 0.5
+
+
+def newton_cg_target(rhs: np.ndarray) -> float:
+    """Residual target min(ETA_BAR, ||rhs||^{1+TAU}) of a Newton system
+    solved by CG."""
+    return min(ETA_BAR, float(np.linalg.norm(rhs)) ** (1.0 + TAU))
+
+
+def newton(sub, v0, stop, max_newton: int, deadline: float):
     """Inexact semismooth Newton with an Armijo line search on one
-    augmented-Lagrangian subproblem.
+    augmented-Lagrangian subproblem, at most max_newton steps.
 
     sub supplies the formulation: aux(v) is the design product carried
     along with the iterate, prox(v, aux) the prox result at v, grad and
@@ -45,7 +49,7 @@ def newton(sub, v0, stop, ssn: SsnControls, deadline: float):
     along h, and direction(aux, pr, g, counter) the Newton step h for -g
     together with lift(h), which a route may get more cheaply than lift
     does (CG iterations added to counter[0]).  stop(gnorm, v, pr) decides
-    sufficiency.
+    sufficiency.  The line search uses MU, LS_SHRINK and MAX_LINESEARCH.
 
     Returns (v, aux, pr, residuals, cg_iters, hit_cap); residuals holds the
     gradient norm at every iterate, hit_cap whether max_newton ran out.
@@ -55,7 +59,7 @@ def newton(sub, v0, stop, ssn: SsnControls, deadline: float):
     pr = sub.prox(v, aux)
     residuals = []
     cg_counter = [0]
-    for _ in range(ssn.max_newton):
+    for _ in range(max_newton):
         g = sub.grad(v, aux, pr)
         gn = float(np.linalg.norm(g))
         residuals.append(gn)
@@ -70,13 +74,13 @@ def newton(sub, v0, stop, ssn: SsnControls, deadline: float):
             dh = sub.lift(h)
         phi0 = sub.value(v, aux, pr)
         alpha = 1.0
-        for _ in range(ssn.max_linesearch):
+        for _ in range(MAX_LINESEARCH):
             v_t = v + alpha * h
             aux_t = aux + alpha * dh
             pr_t = sub.prox(v_t, aux_t)
-            if sub.value(v_t, aux_t, pr_t) <= phi0 + ssn.mu * alpha * gh:
+            if sub.value(v_t, aux_t, pr_t) <= phi0 + MU * alpha * gh:
                 break
-            alpha *= ssn.ls_shrink
+            alpha *= LS_SHRINK
         v, aux, pr = v_t, aux_t, pr_t
     residuals.append(float(np.linalg.norm(sub.grad(v, aux, pr))))
     return v, aux, pr, residuals, cg_counter[0], True
@@ -171,11 +175,12 @@ def augmented_lagrangian(make_step, data, cfg) -> "Solution":
 
 @dataclass
 class SolverConfig:
-    """Stopping controls and inner Newton constants of the SSNAL solvers.
+    """Stopping controls and the inner Newton step cap of the SSNAL solvers.
 
-    The sigma schedule, the inner tolerance sequences and the Newton-system
-    routes are fixed: they are module constants (`SIGMA_*`, `EPS0`,
-    `DELTA0`, `DENSE_CAP`, `NEWTON_CG_ITERS`).
+    The sigma schedule, the inner tolerance sequences, the line search and
+    the Newton-system routes are fixed: they are module constants
+    (`SIGMA_*`, `EPS0`, `DELTA0`, `MU`, `LS_SHRINK`, `MAX_LINESEARCH`,
+    `ETA_BAR`, `TAU`, `DENSE_CAP`, `NEWTON_CG_ITERS`).
     """
 
     tol: float = 1e-6

@@ -37,9 +37,7 @@ class FirstOrderConfig:
     solves with a Cholesky factor of I + sigma A A^T (of I + sigma A^T A
     when n < m), refactored whenever adaptive_sigma moves sigma; "inexact"
     solves by warm-started CG with a summable tolerance
-    min(0.9^k, 0.1 ||rhs||); "linearized" replaces the solve with a
-    majorized step of weight `estimate_lipschitz(A)` >= lambda_max(A A^T).
-    The ADMM step length, starting sigma and CG cap are the module
+    min(0.9^k, 0.1 ||rhs||).  The ADMM step length, starting sigma and CG cap are the module
     constants KAPPA, SIGMA0 and CG_MAX_ITERS.
     """
 
@@ -56,8 +54,8 @@ class FirstOrderConfig:
     def __post_init__(self):
         if self.tol_metric not in ("kkt", "rel"):
             raise ValueError("tol_metric must be 'kkt' or 'rel'")
-        if self.variant not in ("exact", "inexact", "linearized"):
-            raise ValueError("variant must be exact, inexact or linearized")
+        if self.variant not in ("exact", "inexact"):
+            raise ValueError("variant must be exact or inexact")
         if self.tol_metric == "rel" and self.ref_pobj is None:
             raise ValueError("tol_metric='rel' needs ref_pobj")
         if self.max_iters < 1 or self.check_every < 1:
@@ -118,8 +116,7 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     G = A^T A, the push-through identity
     A^T (I + sigma A A^T)^{-1} = (I + sigma G)^{-1} A^T gives
     A^T xi = (I + sigma G)^{-1} (G w - A^T b), and xi = A(w - sigma A^T xi)
-    - b is formed once, after the loop.  The linearized variant reuses the
-    previous A^T xi, two products with A per iteration.
+    - b is formed once, after the loop.
     """
     cfg = cfg or FirstOrderConfig()
     pen = data.require_penalties()
@@ -132,7 +129,6 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
     xi = np.zeros(m)
-    at_xi = np.zeros(n)
 
     gram_side = cfg.variant == "exact" and n < m
     if cfg.variant == "exact":
@@ -150,10 +146,6 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
             return sla.cho_factor(V, lower=True)
 
         chol = factor(sigma)
-    elif cfg.variant == "linearized":
-        lip = estimate_lipschitz(A)
-        if lip <= 0:
-            raise ValueError("linearized variant needs a nonzero design")
 
     cg_count = [0]
 
@@ -166,11 +158,7 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     u_prev = u.copy()
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        if cfg.variant == "linearized":
-            g = A.matvec(at_xi + u - x / sigma)
-            xi = (sigma * lip * xi - b - sigma * g) / (1.0 + sigma * lip)
-            at_xi = A.tmatvec(xi)
-        elif gram_side:
+        if gram_side:
             w = x - sigma * u
             at_xi = sla.cho_solve(chol, gram @ w - atb)
             xi_arg = w - sigma * at_xi
@@ -188,7 +176,7 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         u = v - pr.prox
         x = x - KAPPA * sigma * (at_xi + u)
 
-        if cfg.adaptive_sigma and it % 100 == 0 and cfg.variant != "linearized":
+        if cfg.adaptive_sigma and it % 100 == 0:
             scale = _sigma_scale(float(np.linalg.norm(at_xi + u)),
                                  sigma * float(np.linalg.norm(u - u_prev)))
             if scale != 1.0:

@@ -20,7 +20,9 @@ import scipy.sparse as sp
 from .linalg import DesignMatrix
 from .prox import Penalties, ProxResult
 
-DEFAULT_TIES_TOL = 1e-10
+# sorted projected values within TIES_TOL max(1, ||y||_inf) of each other
+# belong to one pooled run
+TIES_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,20 +73,19 @@ class ProxJacobian:
         return out
 
 
-def build_jacobian(pr: ProxResult, pen: Penalties,
-                   ties_tol: float = DEFAULT_TIES_TOL) -> ProxJacobian:
+def build_jacobian(pr: ProxResult, pen: Penalties) -> ProxJacobian:
     """Assemble the structured Jacobian element from a prox evaluation.
 
     Pooled runs are the connected components of consecutive sorted projected
-    values equal within ties_tol (relative to ||y||_inf).  The threshold
+    values equal within TIES_TOL (relative to ||y||_inf).  The threshold
     mask is decided per run from the run's length-weighted mean value, so it
-    is constant on every run; values within ties_tol of the l1 level count
+    is constant on every run; values within TIES_TOL of the l1 level count
     as zeroed.
     """
     n = pr.prox.shape[0]
     if pr.s_rho.shape[0] != n:
         raise ValueError("inconsistent ProxResult: field lengths differ")
-    tol = ties_tol * max(1.0, pr.y_absmax)
+    tol = TIES_TOL * max(1.0, pr.y_absmax)
 
     if pr.perm is None:
         # rho = 0 path: no sorted structure, M = diag(mask)

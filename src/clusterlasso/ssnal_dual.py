@@ -17,7 +17,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .common import (DENSE_CAP, NEWTON_CG_ITERS, SolverConfig, Solution,
-                     augmented_lagrangian, newton, tall_gram, tolerances)
+                     augmented_lagrangian, newton, newton_cg_target,
+                     tall_gram, tolerances)
 from .jacobian import ProxJacobian, build_jacobian, design_factors
 from .linalg import cg_solve, estimate_lipschitz
 from .metrics import duality_metrics, eta_kkt
@@ -30,8 +31,7 @@ SIGMA0_CURVATURE = 100.0
 
 
 def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
-                        cfg: SolverConfig, counter=None,
-                        gram: Optional[np.ndarray] = None,
+                        counter=None, gram: Optional[np.ndarray] = None,
                         at_rhs: Optional[np.ndarray] = None):
     """Solve (I + sigma A M A^T) h = rhs to the inexact-Newton tolerance.
 
@@ -44,11 +44,12 @@ def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
       A^T h = A^T rhs - G P q.  One product with A around a k x k
       Cholesky; no m x k array is formed;
     - otherwise `_solve_thin` by cost, and -A^T h by one product with A^T.
+    A CG route stops at `newton_cg_target(rhs)`.
     """
     if jac.free_idx.shape[0] + jac.npools == 0:
         return rhs.copy(), -(A.tmatvec(rhs) if gram is None else at_rhs)
     if gram is None:
-        h = _solve_thin(jac, A, sigma, rhs, cfg, counter)
+        h = _solve_thin(jac, A, sigma, rhs, counter)
         return h, -A.tmatvec(h)
     S = jac.restrict(jac.restrict(gram).T)
     S[np.diag_indices_from(S)] += 1.0 / sigma
@@ -58,13 +59,13 @@ def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
 
 
 def _solve_thin(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
-                cfg: SolverConfig, counter) -> np.ndarray:
+                counter) -> np.ndarray:
     """h with (I + sigma A M A^T) h = rhs through the thin factors
     W = [A_free, A_pooled] = AP:
     - SMW when k < m and k <= DENSE_CAP (exact, cost m k^2);
     - dense assembly when m <= DENSE_CAP;
     - CG with the structured matvec otherwise (residual target
-      min(eta_bar, ||rhs||^{1+tau}), at most NEWTON_CG_ITERS iterations).
+      `newton_cg_target(rhs)`, at most NEWTON_CG_ITERS iterations).
     """
     kdim = jac.free_idx.shape[0] + jac.npools
     m = A.m
@@ -86,7 +87,6 @@ def _solve_thin(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
         c, low = sla.cho_factor(V, lower=True)
         return sla.cho_solve((c, low), rhs)
 
-    target = min(cfg.ssn.eta_bar, float(np.linalg.norm(rhs)) ** (1.0 + cfg.ssn.tau))
     nf = A_free.n
 
     def apply(v):
@@ -95,7 +95,7 @@ def _solve_thin(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
         q = np.concatenate([A_free.tmatvec(v), A_pooled.T @ v])
         return v + sigma * (A_free.matvec(q[:nf]) + A_pooled @ q[nf:])
 
-    return cg_solve(apply, rhs, target, NEWTON_CG_ITERS)
+    return cg_solve(apply, rhs, newton_cg_target(rhs), NEWTON_CG_ITERS)
 
 
 class DualSubproblem:
@@ -117,12 +117,11 @@ class DualSubproblem:
     """
 
     def __init__(self, data: ProblemData, x_tilde: np.ndarray, sigma: float,
-                 cfg: SolverConfig, gram: Optional[np.ndarray] = None,
+                 gram: Optional[np.ndarray] = None,
                  atb: Optional[np.ndarray] = None):
         self.data = data
         self.pen = data.require_penalties()
         self.sigma = sigma
-        self.cfg = cfg
         self.gram = gram
         self.atb = atb
         self.x_over_sigma = x_tilde / sigma
@@ -147,7 +146,7 @@ class DualSubproblem:
         if self.gram is not None:
             at_rhs = ((y - self.x_over_sigma) - self.atb
                       + self.sigma * (self.gram @ pr.prox))
-        return solve_newton_system(jac, self.data.A, self.sigma, -g, self.cfg,
+        return solve_newton_system(jac, self.data.A, self.sigma, -g,
                                    counter=counter, gram=self.gram,
                                    at_rhs=at_rhs)
 
@@ -187,8 +186,7 @@ class DualStep:
     def inner(self, sigma, k, deadline):
         eps_k, delta_k, deltap_k = tolerances(k)
         sqrt_sigma = np.sqrt(sigma)
-        sub = DualSubproblem(self.data, self.x, sigma, self.cfg, self.gram,
-                             self.atb)
+        sub = DualSubproblem(self.data, self.x, sigma, self.gram, self.atb)
 
         def stop(gn, _xi, pr):
             if gn <= self.floor:
@@ -199,7 +197,7 @@ class DualStep:
             return gn <= min(delta_k * sqrt_sigma, deltap_k) * feas
 
         self.xi, y, pr, residuals, ncg, hit_cap = newton(
-            sub, self.xi, stop, self.cfg.ssn, deadline)
+            sub, self.xi, stop, self.cfg.ssn.max_newton, deadline)
         if not hit_cap:
             self.u = y - pr.prox
             self.x = sigma * pr.prox

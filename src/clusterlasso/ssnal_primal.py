@@ -17,7 +17,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .common import (NEWTON_CG_ITERS, SolverConfig, Solution,
-                     augmented_lagrangian, newton, tall_gram, tolerances)
+                     augmented_lagrangian, newton, newton_cg_target,
+                     tall_gram, tolerances)
 from .jacobian import ProxJacobian, build_jacobian
 from .linalg import cg_solve
 from .metrics import duality_metrics, eta_kkt
@@ -28,7 +29,7 @@ EPS = np.finfo(np.float64).eps
 
 
 def solve_newton_system_primal(jac: ProxJacobian, A, sigma: float,
-                               rhs: np.ndarray, cfg: SolverConfig,
+                               rhs: np.ndarray,
                                gram: Optional[np.ndarray] = None,
                                counter=None) -> np.ndarray:
     """Solve (A^T A + sigma (I - M) + I/sigma) h = rhs.
@@ -36,7 +37,7 @@ def solve_newton_system_primal(jac: ProxJacobian, A, sigma: float,
     With a cached Gram matrix (`tall_gram`, so n <= DENSE_CAP): dense
     Cholesky of the matrix assembled from the mask/run structure.
     Otherwise CG with the structured matvec to the residual target
-    min(eta_bar, ||rhs||^{1+tau}), at most NEWTON_CG_ITERS iterations.
+    `newton_cg_target(rhs)`, at most NEWTON_CG_ITERS iterations.
     """
     n = jac.n
     if gram is not None:
@@ -54,14 +55,12 @@ def solve_newton_system_primal(jac: ProxJacobian, A, sigma: float,
         c, low = sla.cho_factor(U, lower=True)
         return sla.cho_solve((c, low), rhs)
 
-    target = min(cfg.ssn.eta_bar, float(np.linalg.norm(rhs)) ** (1.0 + cfg.ssn.tau))
-
     def apply(v):
         if counter is not None:
             counter[0] += 1
         return A.tmatvec(A.matvec(v)) + sigma * (v - jac.apply(v)) + v / sigma
 
-    return cg_solve(apply, rhs, target, NEWTON_CG_ITERS)
+    return cg_solve(apply, rhs, newton_cg_target(rhs), NEWTON_CG_ITERS)
 
 
 class PrimalSubproblem:
@@ -87,14 +86,13 @@ class PrimalSubproblem:
     """
 
     def __init__(self, data: ProblemData, x_tilde: np.ndarray,
-                 y_tilde: np.ndarray, sigma: float, cfg: SolverConfig,
+                 y_tilde: np.ndarray, sigma: float,
                  gram: Optional[np.ndarray]):
         self.data = data
         self.pen = data.require_penalties()
         self.x_tilde = x_tilde
         self.y_tilde = y_tilde
         self.sigma = sigma
-        self.cfg = cfg
         self.gram = gram
         self.shift = y_tilde + x_tilde / sigma
         self.coef = sigma + 1.0 / sigma
@@ -136,7 +134,7 @@ class PrimalSubproblem:
     def direction(self, aux, pr, g, counter):
         jac = build_jacobian(pr, self.pen)
         h = solve_newton_system_primal(jac, self.data.A, self.sigma, -g,
-                                       self.cfg, self.gram, counter=counter)
+                                       self.gram, counter=counter)
         return h, self.lift(h)
 
     def lift(self, h):
@@ -184,9 +182,9 @@ class PrimalStep:
                            + float((y_c - y0) @ (y_c - y0)))
             return gn <= (eps_k / sigma) * min(1.0, step)
 
-        sub = PrimalSubproblem(self.data, x0, y0, sigma, self.cfg, self.gram)
-        self.x, _, pr, residuals, ncg, _ = newton(sub, x0, stop, self.cfg.ssn,
-                                                 deadline)
+        sub = PrimalSubproblem(self.data, x0, y0, sigma, self.gram)
+        self.x, _, pr, residuals, ncg, _ = newton(
+            sub, x0, stop, self.cfg.ssn.max_newton, deadline)
         self.z = pr.prox / sigma
         self.y = y0 - sigma * (self.x - self.z)
         return residuals, ncg, True

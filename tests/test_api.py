@@ -2,9 +2,12 @@
 removed from the package stay removed."""
 
 import dataclasses
+import inspect
+
+import pytest
 
 import clusterlasso
-from clusterlasso.common import SolverConfig
+from clusterlasso.common import SolverConfig, SsnControls
 from clusterlasso.first_order import FirstOrderConfig
 
 
@@ -52,3 +55,28 @@ def test_estimate_lipschitz_is_one_function():
 
     assert (clusterlasso.estimate_lipschitz is linalg.estimate_lipschitz
             is first_order.estimate_lipschitz)
+
+
+def test_ssn_controls_hold_only_the_step_cap():
+    # the Armijo and inexact-direction constants are module constants of
+    # `common`; perfbench reads SolverConfig().ssn.max_newton
+    assert {f.name for f in dataclasses.fields(SsnControls)} == {"max_newton"}
+    for gone in ("mu", "eta_bar", "tau", "ls_shrink", "max_linesearch"):
+        assert not hasattr(SsnControls(), gone)
+
+
+def test_linearized_d_admm_is_gone():
+    with pytest.raises(ValueError):
+        FirstOrderConfig(variant="linearized")
+
+
+def test_removed_parameters_stay_removed():
+    from clusterlasso import jacobian, linalg, ssnal_dual, ssnal_primal
+
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert "cfg" not in params(ssnal_dual.solve_newton_system)
+    assert "cfg" not in params(ssnal_primal.solve_newton_system_primal)
+    assert "ties_tol" not in params(jacobian.build_jacobian)
+    assert "seed" not in params(linalg.estimate_lipschitz)

@@ -2,12 +2,16 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clusterlasso.cli import main, read_vector, write_vector
+from clusterlasso.cli import SOLVER_NAMES, main, read_vector, write_vector
 from clusterlasso.data import read_libsvm
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(capsys, *argv):
@@ -37,6 +41,28 @@ class TestVectorFormat:
         assert int.from_bytes(raw[:8], "little") == 2
         np.testing.assert_array_equal(
             np.frombuffer(raw[8:], dtype="<f8"), [1.0, -2.0])
+
+    def test_truncated_payload_raises(self, tmp_path):
+        # header declares 5 values, payload holds 3
+        p = tmp_path / "t.bin"
+        p.write_bytes(np.array([5], dtype="<u8").tobytes()
+                      + np.arange(3.0).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="declares 5"):
+            read_vector(p)
+
+    def test_trailing_bytes_raise(self, tmp_path):
+        p = tmp_path / "x.bin"
+        write_vector(p, np.array([1.0, -2.0]))
+        with open(p, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(ValueError, match="declares 2"):
+            read_vector(p)
+
+    def test_missing_header_raises(self, tmp_path):
+        p = tmp_path / "h.bin"
+        p.write_bytes(b"\1\0\0")
+        with pytest.raises(ValueError, match="header"):
+            read_vector(p)
 
 
 class TestSolve:
@@ -81,13 +107,31 @@ class TestSolve:
 
     def test_each_named_solver_runs(self, capsys):
         for solver in ("ssnal-d", "ssnal-p", "admm-d", "admm-p", "iadmm",
-                       "ladmm", "apg"):
+                       "apg"):
             code, out, _ = _run(
                 capsys, "solve", "--scenario", "1", "--k", "1", "--seed", "0",
                 "--m-override", "60", "--alpha1", "5e-2", "--alpha2", "1e-2",
                 "--solver", solver, "--tol", "1e-6")
             assert code == 0, solver
             assert json.loads(out)["solver"] == solver
+
+    def test_readme_lists_the_solver_names(self):
+        # the backticked names of the README's "Solvers:" paragraph, less
+        # the option names it mentions, are the CLI's solver names
+        text = README.read_text(encoding="utf-8")
+        para = re.search(r"^Solvers:(.*?)(?:\n\n|\Z)", text,
+                         re.MULTILINE | re.DOTALL)
+        assert para is not None
+        named = [w for w in re.findall(r"`([^`]+)`", para.group(1))
+                 if not w.startswith("-")]
+        assert named == [s for s in SOLVER_NAMES if s != "auto"]
+
+    def test_removed_solver_name_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--scenario", "1", "--alpha1", "0.1",
+                  "--alpha2", "0.1", "--solver", "ladmm"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_penalties_exits_2(self, capsys):
         code, _, err = _run(capsys, "solve", "--scenario", "1")

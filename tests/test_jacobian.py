@@ -8,7 +8,8 @@ against finite differences of the prox itself at generic points.
 import numpy as np
 import pytest
 
-from clusterlasso.jacobian import DEFAULT_TIES_TOL, build_jacobian, design_factors
+from clusterlasso import jacobian
+from clusterlasso.jacobian import build_jacobian, design_factors
 from clusterlasso.linalg import DesignMatrix
 from clusterlasso.prox import Penalties, prox_clustered
 from oracles import dense_jacobian_oracle, dense_matrix_from_apply
@@ -18,10 +19,9 @@ def _dense(jac):
     return dense_matrix_from_apply(jac.apply, jac.n)
 
 
-def _jac_at(y, beta, rho, ties_tol=DEFAULT_TIES_TOL):
+def _jac_at(y, beta, rho):
     pen = Penalties(beta, rho)
-    return build_jacobian(prox_clustered(np.asarray(y, float), pen), pen,
-                          ties_tol=ties_tol)
+    return build_jacobian(prox_clustered(np.asarray(y, float), pen), pen)
 
 
 class TestStructure:
@@ -123,17 +123,20 @@ class TestLocalAffineExactness:
 
 
 class TestTiesTolerance:
-    def test_near_ties_pool_under_loose_tolerance(self):
+    def test_near_ties_pool_under_loose_tolerance(self, monkeypatch):
         y = np.array([1.0, 1.0 + 1e-8, 5.0])
-        strict = _jac_at(y, beta=0.1, rho=0.0 + 1e-12, ties_tol=1e-14)
-        loose = _jac_at(y, beta=0.1, rho=1e-12, ties_tol=1e-6)
+        monkeypatch.setattr(jacobian, "TIES_TOL", 1e-14)
+        strict = _jac_at(y, beta=0.1, rho=0.0 + 1e-12)
+        monkeypatch.setattr(jacobian, "TIES_TOL", 1e-6)
+        loose = _jac_at(y, beta=0.1, rho=1e-12)
         assert strict.npools == 0
         assert loose.npools == 1
 
-    def test_tolerance_scales_with_y(self):
+    def test_tolerance_scales_with_y(self, monkeypatch):
         # same relative gap, larger magnitudes: still pooled
         y = 1e6 * np.array([1.0, 1.0 + 1e-8, 5.0])
-        jac = _jac_at(y, beta=0.1, rho=1e-9, ties_tol=1e-6)
+        monkeypatch.setattr(jacobian, "TIES_TOL", 1e-6)
+        jac = _jac_at(y, beta=0.1, rho=1e-9)
         assert jac.npools == 1
 
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from clusterlasso import ssnal_dual
+from clusterlasso import common, ssnal_dual
 from clusterlasso.common import (
     CONVERGED,
     SolverConfig,
@@ -42,8 +42,8 @@ def _fd_gradient(f, xi, h=1e-6):
     return g
 
 
-def _subproblem(data, x_tilde, sigma, cfg=None):
-    return DualSubproblem(data, x_tilde, sigma, cfg or SolverConfig())
+def _subproblem(data, x_tilde, sigma):
+    return DualSubproblem(data, x_tilde, sigma)
 
 
 def _value(sub, xi):
@@ -116,7 +116,7 @@ class TestSubproblem:
         xi = rng.normal(size=30)
         gram, atb = data.A.gram(), data.A.tmatvec(data.b)
         thin = _subproblem(data, x_tilde, 1.3)
-        tall = DualSubproblem(data, x_tilde, 1.3, SolverConfig(), gram, atb)
+        tall = DualSubproblem(data, x_tilde, 1.3, gram, atb)
         y = thin.aux(xi)
         g, pr = _grad(thin, xi)
         h, lift = thin.direction(y, pr, g, [0])
@@ -141,13 +141,13 @@ class TestNewtonSystem:
         H = np.eye(m) + sigma * A.toarray() @ M @ A.toarray().T
         rhs = rng.normal(size=m)
         want = np.linalg.solve(H, rhs)
-        got, lift = solve_newton_system(jac, A, sigma, rhs, SolverConfig())
+        got, lift = solve_newton_system(jac, A, sigma, rhs)
         np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
         np.testing.assert_array_equal(lift, -A.tmatvec(got))
         # the Gram route (Woodbury through the n-side) solves the same
         # system and returns the lift -A^T h without a product with A^T
-        got, lift = solve_newton_system(jac, A, sigma, rhs, SolverConfig(),
-                                        gram=A.gram(), at_rhs=A.tmatvec(rhs))
+        got, lift = solve_newton_system(jac, A, sigma, rhs, gram=A.gram(),
+                                        at_rhs=A.tmatvec(rhs))
         np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
         np.testing.assert_allclose(lift, -A.tmatvec(got), rtol=1e-10,
                                    atol=1e-14 * np.linalg.norm(rhs))
@@ -158,8 +158,8 @@ class TestNewtonSystem:
         jac = build_jacobian(prox_clustered(np.full(4, 0.1), pen), pen)
         rhs = np.array([1.0, 2.0, 3.0])
         for gram, at_rhs in ((None, None), (A.gram(), A.tmatvec(rhs))):
-            h, lift = solve_newton_system(jac, A, 2.0, rhs, SolverConfig(),
-                                          gram=gram, at_rhs=at_rhs)
+            h, lift = solve_newton_system(jac, A, 2.0, rhs, gram=gram,
+                                          at_rhs=at_rhs)
             np.testing.assert_array_equal(h, rhs)
             np.testing.assert_array_equal(lift, -A.tmatvec(rhs))
 
@@ -171,23 +171,23 @@ class TestNewtonSystem:
         pen = Penalties(0.05, 0.02)
         jac = build_jacobian(prox_clustered(y, pen), pen)
         rhs = rng.normal(size=m)
-        direct, _ = solve_newton_system(jac, A, 1.5, rhs, SolverConfig())
-        # force the CG branch by shrinking the dense-matrix cap
+        direct, _ = solve_newton_system(jac, A, 1.5, rhs)
+        # force the CG branch by shrinking the dense-matrix cap, and
+        # tighten its residual target
         monkeypatch.setattr(ssnal_dual, "DENSE_CAP", 1)
-        cfg = SolverConfig(ssn=SsnControls(eta_bar=1e-12, tau=1.0))
+        monkeypatch.setattr(common, "ETA_BAR", 1e-12)
+        monkeypatch.setattr(common, "TAU", 1.0)
         counter = [0]
-        viacg, _ = solve_newton_system(jac, A, 1.5, rhs, cfg,
-                                       counter=counter)
+        viacg, _ = solve_newton_system(jac, A, 1.5, rhs, counter=counter)
         np.testing.assert_allclose(viacg, direct, atol=1e-6)
         assert counter[0] > 0
 
 
-def _inner(data, x_tilde, sigma, tol, cfg=None):
+def _inner(data, x_tilde, sigma, tol, max_newton=SsnControls().max_newton):
     """Run `newton` on the dual subproblem from xi = 0 to ||grad|| <= tol."""
-    cfg = cfg or SolverConfig()
-    sub = DualSubproblem(data, x_tilde, sigma, cfg)
+    sub = DualSubproblem(data, x_tilde, sigma)
     return sub, newton(sub, np.zeros(data.A.m), lambda gn, _xi, _pr: gn <= tol,
-                       cfg.ssn, deadline=np.inf)
+                       max_newton, deadline=np.inf)
 
 
 class TestInnerNewton:
@@ -215,9 +215,8 @@ class TestInnerNewton:
 
     def test_cap_sets_hit_cap(self):
         data = _random_problem(7)
-        cfg = SolverConfig(ssn=SsnControls(max_newton=1))
         _, (*_, residuals, _, hit_cap) = _inner(data, np.ones(8), 1.0, 1e-14,
-                                                cfg)
+                                                max_newton=1)
         assert hit_cap
         # one step taken; the last entry is the residual where it stopped
         assert len(residuals) == 2

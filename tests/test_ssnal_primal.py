@@ -61,7 +61,7 @@ class TestSubproblem:
     gram = False
 
     def _sub(self, data, x_tilde, y_tilde, sigma):
-        return PrimalSubproblem(data, x_tilde, y_tilde, sigma, SolverConfig(),
+        return PrimalSubproblem(data, x_tilde, y_tilde, sigma,
                                 data.A.gram() if self.gram else None)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -117,8 +117,7 @@ class TestSubproblemGram(TestSubproblem):
         rng = np.random.default_rng(seed)
         data = _tall_problem(seed, m=40, n=8)
         x_tilde, y_tilde = rng.normal(size=(2, 8))
-        design = PrimalSubproblem(data, x_tilde, y_tilde, 2.5, SolverConfig(),
-                                  None)
+        design = PrimalSubproblem(data, x_tilde, y_tilde, 2.5, None)
         tall = self._sub(data, x_tilde, y_tilde, 2.5)
         for x in (x_tilde, x_tilde + 1e-3 * rng.normal(size=8),
                   rng.normal(size=8)):
@@ -142,24 +141,23 @@ class TestNewtonSystemPrimal:
         M = dense_matrix_from_apply(jac.apply, n)
         H = A.gram() + sigma * (np.eye(n) - M) + np.eye(n) / sigma
         rhs = rng.normal(size=n)
-        got = solve_newton_system_primal(jac, A, sigma, rhs, SolverConfig(),
-                                         gram=A.gram())
+        got = solve_newton_system_primal(jac, A, sigma, rhs, gram=A.gram())
         np.testing.assert_allclose(got, np.linalg.solve(H, rhs),
                                    atol=1e-8, rtol=1e-8)
 
-    def test_cg_route_matches_dense_route(self):
+    def test_cg_route_matches_dense_route(self, monkeypatch):
         rng = np.random.default_rng(50)
         A = DesignMatrix(rng.normal(size=(12, 7)))
         y = rng.normal(size=7)
         pen = Penalties(0.1, 0.05)
         jac = build_jacobian(prox_clustered(y, pen), pen)
         rhs = rng.normal(size=7)
-        dense = solve_newton_system_primal(jac, A, 2.0, rhs, SolverConfig(),
-                                           gram=A.gram())
-        from clusterlasso.common import SsnControls
-        cfg = SolverConfig(ssn=SsnControls(eta_bar=1e-12, tau=1.0))
+        dense = solve_newton_system_primal(jac, A, 2.0, rhs, gram=A.gram())
+        # tighten the CG route's residual target
+        monkeypatch.setattr(common, "ETA_BAR", 1e-12)
+        monkeypatch.setattr(common, "TAU", 1.0)
         counter = [0]
-        cg = solve_newton_system_primal(jac, A, 2.0, rhs, cfg, gram=None,
+        cg = solve_newton_system_primal(jac, A, 2.0, rhs, gram=None,
                                         counter=counter)
         np.testing.assert_allclose(cg, dense, atol=1e-6)
         assert counter[0] > 0
@@ -177,8 +175,7 @@ class TestNewtonSystemPrimal:
         H = A.gram() + sigma * (np.eye(4) - M) + np.eye(4) / sigma
         assert np.linalg.eigvalsh(H).min() >= 1.0 / sigma - 1e-12
         rhs = rng.normal(size=4)
-        got = solve_newton_system_primal(jac, A, sigma, rhs, SolverConfig(),
-                                         gram=A.gram())
+        got = solve_newton_system_primal(jac, A, sigma, rhs, gram=A.gram())
         np.testing.assert_allclose(got, np.linalg.solve(H, rhs), rtol=1e-10)
 
 
