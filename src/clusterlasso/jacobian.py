@@ -9,7 +9,7 @@ soft-threshold survivors, and Gamma averages over the pooled runs of the
 isotone projection (identity on un-pooled coordinates).  M is symmetric,
 idempotent, and never materialized here: we store the free coordinates and
 the kept pooled runs, which is all the solvers need to apply M, I - M, and
-to form the two thin factors of A M A^T.
+to form the thin factor W = AP of A M A^T = W W^T.
 """
 
 from dataclasses import dataclass
@@ -131,22 +131,20 @@ def build_jacobian(pr: ProxResult, pen: Penalties) -> ProxJacobian:
 
 
 def design_factors(jac: ProxJacobian, A: DesignMatrix):
-    """Thin factors (A_free, A_pooled) with A M A^T = A_free A_free^T + A_pooled A_pooled^T.
+    """Thin factor W = AP (m x k, k = |free| + pools), A M A^T = W W^T.
 
-    A_free holds the columns of A at the free coordinates; A_pooled has one
-    column per kept pooled run, the run's columns summed and scaled by
-    1/sqrt(run size).  Cost O(m (|free| + pooled mass)).
+    W holds the columns of A at the free coordinates, then one column per
+    kept pooled run: the run's columns summed and scaled by 1/sqrt(run
+    size).  Dense A is gathered through `restrict` on the row-major view
+    A^T, cost O(m (|free| + pooled mass)).  Sparse A gives a sparse W by
+    one product with the n x k sparse P.
     """
-    A_free = A.column_submatrix(jac.free_idx)
-    t = jac.npools
-    if t == 0:
-        return A_free, np.zeros((A.m, 0))
-    col_of = np.repeat(np.arange(t), jac.pool_sizes)
-    scale = np.repeat(1.0 / np.sqrt(jac.pool_sizes.astype(np.float64)),
-                      jac.pool_sizes)
-    G = sp.csc_matrix((scale, (jac.pool_idx, col_of)), shape=(A.n, t))
-    if A.is_sparse:
-        A_pooled = np.asarray((A.raw @ G).todense())
-    else:
-        A_pooled = A.raw @ G.toarray()
-    return A_free, A_pooled
+    if not A.is_sparse:
+        return jac.restrict(A.raw.T).T
+    # a free coordinate is a pool of size 1
+    sizes = np.r_[np.ones(jac.free_idx.shape[0], np.int64), jac.pool_sizes]
+    P = sp.csr_matrix((np.repeat(1.0 / np.sqrt(sizes), sizes),
+                       (np.r_[jac.free_idx, jac.pool_idx],
+                        np.repeat(np.arange(sizes.size), sizes))),
+                      shape=(A.n, sizes.size))
+    return A.raw @ P

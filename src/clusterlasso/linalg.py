@@ -1,7 +1,8 @@
 """Design-matrix wrapper and the small linear-algebra toolkit the solvers use.
 
 DesignMatrix hides the dense/sparse split: dense data is kept column-major
-(solvers slice columns constantly), sparse data as CSR with sorted indices.
+(its transpose is then a row-major view, from which the thin Newton factor
+gathers rows), sparse data as CSR with sorted indices.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ class DesignMatrix:
     is vacuous.  All entries must be finite.
     """
 
-    def __init__(self, mat, min_cols: int = 2):
+    def __init__(self, mat):
         if sp.issparse(mat):
             raw = sp.csr_matrix(mat, dtype=np.float64)
             raw.sort_indices()
@@ -43,9 +44,8 @@ class DesignMatrix:
         m, n = raw.shape
         if m < 1:
             raise ValueError("design matrix needs at least one row")
-        if n < min_cols:
-            raise ValueError(
-                f"design matrix needs at least {min_cols} columns, got {n}")
+        if n < 2:
+            raise ValueError(f"design matrix needs at least 2 columns, got {n}")
         self.raw = raw
         self.m = m
         self.n = n
@@ -65,14 +65,6 @@ class DesignMatrix:
     def tmatvec(self, v: np.ndarray) -> np.ndarray:
         out = self.raw.T @ np.asarray(v, dtype=np.float64)
         return np.asarray(out).ravel() if self._sparse else out
-
-    def column_submatrix(self, idx) -> "DesignMatrix":
-        """Columns at idx, in order, as a new DesignMatrix (may be empty)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise IndexError("column index out of range")
-        sub = self.raw[:, idx]
-        return DesignMatrix(sub, min_cols=0)
 
     def toarray(self) -> np.ndarray:
         return self.raw.toarray() if self._sparse else np.array(self.raw)

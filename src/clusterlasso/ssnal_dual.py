@@ -7,7 +7,7 @@ Works on the dual formulation
 driving xi with an inexact Newton method on the (smooth, strongly convex)
 augmented-Lagrangian subproblem and recovering the primal iterate through
 the prox.  Preferred when m <= n: the Newton systems live in R^m and their
-curvature part A M A^T collapses to two thin factors.  On tall designs
+curvature part A M A^T = W W^T has a thin factor W = AP.  On tall designs
 the same systems are solved through the n-side with a cached A^T A.
 """
 
@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .common import (DENSE_CAP, NEWTON_CG_ITERS, SolverConfig, Solution,
                      augmented_lagrangian, newton, newton_cg_target,
@@ -60,40 +61,34 @@ def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
 
 def _solve_thin(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
                 counter) -> np.ndarray:
-    """h with (I + sigma A M A^T) h = rhs through the thin factors
-    W = [A_free, A_pooled] = AP:
+    """h with (I + sigma W W^T) h = rhs for the m x k thin factor W = AP,
+    built by `design_factors` (a row gather of A^T; sparse for a sparse A):
     - SMW when k < m and k <= DENSE_CAP (exact, cost m k^2);
-    - dense assembly when m <= DENSE_CAP;
-    - CG with the structured matvec otherwise (residual target
+    - dense assembly of the m x m matrix when m <= DENSE_CAP;
+    - CG on v + sigma W (W^T v) otherwise (residual target
       `newton_cg_target(rhs)`, at most NEWTON_CG_ITERS iterations).
+    The direct routes densify a sparse W; CG keeps it sparse.
     """
-    kdim = jac.free_idx.shape[0] + jac.npools
-    m = A.m
-    A_free, A_pooled = design_factors(jac, A)
+    W = design_factors(jac, A)
+    m, k = W.shape
 
-    if kdim <= DENSE_CAP and kdim < m:
-        W = np.hstack([A_free.toarray(), A_pooled])
-        S = W.T @ W
+    if k <= DENSE_CAP and k < m:
+        Wd = W.toarray() if sp.issparse(W) else W
+        S = Wd.T @ Wd
         S[np.diag_indices_from(S)] += 1.0 / sigma
         c, low = sla.cho_factor(S, lower=True)
-        q = sla.cho_solve((c, low), W.T @ rhs)
-        return rhs - W @ q
+        return rhs - Wd @ sla.cho_solve((c, low), Wd.T @ rhs)
     if m <= DENSE_CAP:
-        Af = A_free.toarray()
-        V = sigma * (Af @ Af.T)
-        if A_pooled.size:
-            V += sigma * (A_pooled @ A_pooled.T)
+        Wd = W.toarray() if sp.issparse(W) else W
+        V = sigma * (Wd @ Wd.T)
         V[np.diag_indices_from(V)] += 1.0
         c, low = sla.cho_factor(V, lower=True)
         return sla.cho_solve((c, low), rhs)
 
-    nf = A_free.n
-
     def apply(v):
         if counter is not None:
             counter[0] += 1
-        q = np.concatenate([A_free.tmatvec(v), A_pooled.T @ v])
-        return v + sigma * (A_free.matvec(q[:nf]) + A_pooled @ q[nf:])
+        return v + sigma * (W @ (W.T @ v))
 
     return cg_solve(apply, rhs, newton_cg_target(rhs), NEWTON_CG_ITERS)
 

@@ -244,9 +244,10 @@ class TestAcceptance:
                  f"eig range [{lo:.1e}, {hi:.10f}], asymmetry {worst_asym:.1e}")
 
     def test_criterion_06_structured_factors_match_dense_congruence(self):
-        """A_free A_free^T + A_pooled A_pooled^T equals A M A^T from the dense oracle."""
+        """W W^T, with W = AP the thin factor, equals A M A^T from the dense oracle."""
         rng = np.random.default_rng(15)
         worst = 0.0
+        bad_shapes = 0
         for _ in range(50):
             m = int(rng.integers(2, 16))
             n = int(rng.integers(2, 16))
@@ -256,14 +257,15 @@ class TestAcceptance:
             rho = float(rng.uniform(0.01, 0.5))
             pen = Penalties(beta, rho)
             jac = build_jacobian(prox_clustered(y, pen), pen)
-            A_free, A_pooled = design_factors(jac, DesignMatrix(A))
-            F = A_free.toarray()
-            lhs = F @ F.T + A_pooled @ A_pooled.T
+            W = design_factors(jac, DesignMatrix(A))
+            bad_shapes += W.shape != (m, jac.free_idx.shape[0] + jac.npools)
+            lhs = W @ W.T
             rhs = A @ dense_jacobian_oracle(y, beta, rho) @ A.T
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        ok = worst <= 1e-9
-        _verdict(6, "structured factors vs dense A M A^T", ok,
-                 f"max abs diff {worst:.2e}")
+        ok = worst <= 1e-9 and bad_shapes == 0
+        _verdict(6, "structured factor vs dense A M A^T", ok,
+                 f"max abs diff {worst:.2e}, {bad_shapes} of 50 factors "
+                 "not m x (|free| + pools)")
 
     def test_criterion_07_newton_solvers_converge_on_scenario_grid(self, newton_grid):
         """Both Newton solvers reach max eta <= 1e-6 within 100 outers on all 21 instances."""

@@ -143,7 +143,7 @@ class TestTiesTolerance:
 class TestDesignFactors:
     @pytest.mark.parametrize("seed", range(20))
     def test_factors_reproduce_sandwich(self, seed):
-        # A_free A_free^T + A_pool A_pool^T must equal A M A^T
+        # W W^T must equal A M A^T
         rng = np.random.default_rng(300 + seed)
         m = int(rng.integers(2, 12))
         n = int(rng.integers(2, 12))
@@ -151,32 +151,32 @@ class TestDesignFactors:
         y = np.round(rng.normal(size=n), 1)
         pen = Penalties(float(rng.uniform(0, 0.6)), float(rng.uniform(0, 0.4)))
         jac = build_jacobian(prox_clustered(y, pen), pen)
-        Af, Ap = design_factors(jac, A)
+        W = design_factors(jac, A)
         M = _dense(jac)
         want = A.toarray() @ M @ A.toarray().T
-        got = Af.toarray() @ Af.toarray().T + Ap @ Ap.T
-        np.testing.assert_allclose(got, want, atol=1e-9)
-        assert Ap.shape == (m, jac.npools)
+        np.testing.assert_allclose(W @ W.T, want, atol=1e-9)
+        assert W.shape == (m, jac.free_idx.shape[0] + jac.npools)
 
     def test_sparse_design(self):
         import scipy.sparse as sp
-        rng = np.random.default_rng(400)
         A = DesignMatrix(sp.random(9, 7, density=0.5, random_state=1))
         y = np.array([2.0, 2.0, 2.0, -1.0, 0.0, 5.0, 5.0])
         pen = Penalties(0.05, 0.02)
         jac = build_jacobian(prox_clustered(y, pen), pen)
-        Af, Ap = design_factors(jac, A)
-        M = _dense(jac)
+        W = design_factors(jac, A)
+        # the factor of a sparse design stays sparse
+        assert sp.issparse(W)
+        assert W.shape == (9, jac.free_idx.shape[0] + jac.npools)
         dense = A.toarray()
-        got = Af.toarray() @ Af.toarray().T + Ap @ Ap.T
-        np.testing.assert_allclose(got, dense @ M @ dense.T, atol=1e-9)
+        np.testing.assert_allclose((W @ W.T).toarray(),
+                                   dense @ _dense(jac) @ dense.T, atol=1e-9)
+        np.testing.assert_allclose(
+            W.toarray(), design_factors(jac, DesignMatrix(dense)), atol=1e-12)
 
     def test_all_zero_jacobian_gives_empty_factors(self):
         A = DesignMatrix(np.ones((3, 4)))
         jac = _jac_at([0.1, 0.2, 0.1, 0.15], beta=10.0, rho=0.1)
-        Af, Ap = design_factors(jac, A)
-        assert Af.shape == (3, 0)
-        assert Ap.shape == (3, 0)
+        assert design_factors(jac, A).shape == (3, 0)
 
 
 class TestValidation:

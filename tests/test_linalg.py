@@ -69,29 +69,6 @@ class TestDesignMatrix:
         with pytest.raises(ValueError):
             DesignMatrix(sp.csr_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]])))
 
-    def test_column_submatrix(self):
-        rng = np.random.default_rng(2)
-        M = rng.normal(size=(4, 6))
-        A = DesignMatrix(M)
-        sub = A.column_submatrix([4, 0, 2])
-        np.testing.assert_allclose(sub.toarray(), M[:, [4, 0, 2]])
-
-    def test_column_submatrix_sparse(self):
-        M = sp.random(5, 7, density=0.5, random_state=3)
-        sub = DesignMatrix(M).column_submatrix([1, 6])
-        np.testing.assert_allclose(sub.toarray(), M.toarray()[:, [1, 6]])
-
-    def test_column_submatrix_empty(self):
-        A = DesignMatrix(np.ones((3, 4)))
-        sub = A.column_submatrix(np.array([], dtype=int))
-        assert sub.shape == (3, 0)
-        np.testing.assert_array_equal(sub.matvec(np.zeros(0)), np.zeros(3))
-
-    def test_column_submatrix_out_of_range(self):
-        A = DesignMatrix(np.ones((3, 4)))
-        with pytest.raises(IndexError):
-            A.column_submatrix([0, 4])
-
     def test_gram(self):
         rng = np.random.default_rng(4)
         M = rng.normal(size=(6, 3))

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from clusterlasso import common, ssnal_dual
 from clusterlasso.common import (
@@ -129,28 +130,46 @@ class TestSubproblem:
 class TestNewtonSystem:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_dense_solve(self, seed):
+        # each design and its CSR twin, whose thin factor W is sparse
         rng = np.random.default_rng(seed)
         m = int(rng.integers(3, 14))
         n = int(rng.integers(2, 14))
-        A = DesignMatrix(rng.normal(size=(m, n)))
+        Ad = rng.normal(size=(m, n))
         y = np.round(rng.normal(size=n), 1)
         pen = Penalties(float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.3)))
         jac = build_jacobian(prox_clustered(y, pen), pen)
         sigma = float(rng.uniform(0.5, 4.0))
         M = dense_matrix_from_apply(jac.apply, n)
-        H = np.eye(m) + sigma * A.toarray() @ M @ A.toarray().T
+        H = np.eye(m) + sigma * Ad @ M @ Ad.T
         rhs = rng.normal(size=m)
         want = np.linalg.solve(H, rhs)
-        got, lift = solve_newton_system(jac, A, sigma, rhs)
-        np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
-        np.testing.assert_array_equal(lift, -A.tmatvec(got))
-        # the Gram route (Woodbury through the n-side) solves the same
-        # system and returns the lift -A^T h without a product with A^T
-        got, lift = solve_newton_system(jac, A, sigma, rhs, gram=A.gram(),
-                                        at_rhs=A.tmatvec(rhs))
-        np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
-        np.testing.assert_allclose(lift, -A.tmatvec(got), rtol=1e-10,
-                                   atol=1e-14 * np.linalg.norm(rhs))
+        for A in (DesignMatrix(Ad), DesignMatrix(sp.csr_matrix(Ad))):
+            got, lift = solve_newton_system(jac, A, sigma, rhs)
+            np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
+            np.testing.assert_array_equal(lift, -A.tmatvec(got))
+            # the Gram route (Woodbury through the n-side) solves the same
+            # system and returns the lift -A^T h without a product with A^T
+            got, lift = solve_newton_system(jac, A, sigma, rhs, gram=A.gram(),
+                                            at_rhs=A.tmatvec(rhs))
+            np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
+            np.testing.assert_allclose(lift, -A.tmatvec(got), rtol=1e-10,
+                                       atol=1e-14 * np.linalg.norm(rhs))
+
+    def test_dense_m_route_on_wide_design(self):
+        # k = |free| + pools >= m: the m x m matrix is assembled from W W^T
+        rng = np.random.default_rng(78)
+        m, n = 4, 12
+        Ad = rng.normal(size=(m, n))
+        y = np.r_[np.arange(1.0, 9.0), 10.0, 10.0, -10.0, -10.0]
+        pen = Penalties(0.05, 0.01)
+        jac = build_jacobian(prox_clustered(y, pen), pen)
+        assert jac.free_idx.shape[0] + jac.npools >= m
+        M = dense_matrix_from_apply(jac.apply, n)
+        rhs = rng.normal(size=m)
+        want = np.linalg.solve(np.eye(m) + 2.0 * Ad @ M @ Ad.T, rhs)
+        for A in (DesignMatrix(Ad), DesignMatrix(sp.csr_matrix(Ad))):
+            got, _ = solve_newton_system(jac, A, 2.0, rhs)
+            np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
 
     def test_identity_when_jacobian_vanishes(self):
         A = DesignMatrix(np.ones((3, 4)))
@@ -166,21 +185,24 @@ class TestNewtonSystem:
     def test_cg_route_agrees_with_direct(self, monkeypatch):
         rng = np.random.default_rng(77)
         m, n = 10, 9
-        A = DesignMatrix(rng.normal(size=(m, n)))
+        Ad = rng.normal(size=(m, n))
         y = rng.normal(size=n)
         pen = Penalties(0.05, 0.02)
         jac = build_jacobian(prox_clustered(y, pen), pen)
         rhs = rng.normal(size=m)
-        direct, _ = solve_newton_system(jac, A, 1.5, rhs)
+        # the CSR twin's direct solve densifies its W; CG keeps it sparse
+        designs = (DesignMatrix(Ad), DesignMatrix(sp.csr_matrix(Ad)))
+        direct = [solve_newton_system(jac, A, 1.5, rhs)[0] for A in designs]
         # force the CG branch by shrinking the dense-matrix cap, and
         # tighten its residual target
         monkeypatch.setattr(ssnal_dual, "DENSE_CAP", 1)
         monkeypatch.setattr(common, "ETA_BAR", 1e-12)
         monkeypatch.setattr(common, "TAU", 1.0)
-        counter = [0]
-        viacg, _ = solve_newton_system(jac, A, 1.5, rhs, counter=counter)
-        np.testing.assert_allclose(viacg, direct, atol=1e-6)
-        assert counter[0] > 0
+        for A, want in zip(designs, direct):
+            counter = [0]
+            viacg, _ = solve_newton_system(jac, A, 1.5, rhs, counter=counter)
+            np.testing.assert_allclose(viacg, want, atol=1e-6)
+            assert counter[0] > 0
 
 
 def _inner(data, x_tilde, sigma, tol, max_newton=SsnControls().max_newton):
@@ -260,6 +282,15 @@ class TestOuterLoop:
         sol = solve(data)
         assert sol.status == CONVERGED
         np.testing.assert_allclose(sol.x, np.zeros(4), atol=1e-10)
+
+    def test_sparse_design_matches_dense_solve(self):
+        # n > m, so the Newton systems take the thin routes with a sparse W
+        data = _random_problem(21, m=12, n=30, beta=0.3, rho=0.1)
+        sparse = dataclasses.replace(
+            data, A=DesignMatrix(sp.csr_matrix(data.A.toarray())))
+        sol, sol_sp = solve(data), solve(sparse)
+        assert sol.status == sol_sp.status == CONVERGED
+        assert abs(sol_sp.pobj - sol.pobj) <= 1e-8 * abs(sol.pobj)
 
     def test_duality_gap_closes(self):
         data = _random_problem(15, m=15, n=9, beta=0.2, rho=0.05)
