@@ -19,7 +19,7 @@ from .common import CONVERGED, SolverConfig
 from .data import (ScenarioSpec, generate_scenario, penalties_from_alphas,
                    read_libsvm, write_libsvm)
 from .first_order import FirstOrderConfig
-from .metrics import gnnz, nnz
+from .metrics import eta_rel, gnnz, nnz
 from .prox import Penalties
 
 SOLVER_NAMES = ("ssnal-d", "ssnal-p", "admm-d", "admm-p", "iadmm", "apg",
@@ -90,7 +90,7 @@ def _run_solver(name: str, data, tol: float, max_time: float,
         fn = ssnal_dual.solve if name == "ssnal-d" else ssnal_primal.solve_primal
         return fn(data, SolverConfig(**kwargs))
     if ref_pobj is not None:
-        kwargs.update(tol_metric="rel", ref_pobj=ref_pobj, tol=rel_tol or tol)
+        kwargs.update(ref_pobj=ref_pobj, tol=rel_tol or tol)
     if max_iters is not None:
         kwargs["max_iters"] = max_iters
     if name == "admm-d":
@@ -126,7 +126,7 @@ def _load_problem(args):
         from .problem import ProblemData
         return ProblemData(A=A, b=b), os.path.basename(args.input)
     if args.scenario is None:
-        raise SystemExit2("either --input or --scenario is required")
+        raise ValueError("either --input or --scenario is required")
     spec = ScenarioSpec(scenario_id=args.scenario, k=args.k, seed=args.seed,
                         m_override=args.m_override)
     prob = generate_scenario(spec)
@@ -136,17 +136,13 @@ def _load_problem(args):
 def _apply_penalties(args, data):
     if args.beta is not None:
         if args.alpha1 is not None or args.alpha2 is not None:
-            raise SystemExit2("give either --alpha1/--alpha2 or --beta/--rho")
+            raise ValueError("give either --alpha1/--alpha2 or --beta/--rho")
         return data.with_penalties(
             Penalties(beta=args.beta, rho=args.rho or 0.0)), None, None
     if args.alpha1 is None or args.alpha2 is None:
-        raise SystemExit2("penalty levels missing: --alpha1/--alpha2 or --beta/--rho")
+        raise ValueError("penalty levels missing: --alpha1/--alpha2 or --beta/--rho")
     pen = penalties_from_alphas(args.alpha1, args.alpha2, data)
     return data.with_penalties(pen), args.alpha1, args.alpha2
-
-
-class SystemExit2(Exception):
-    """Raised for usage errors; mapped to exit code 2."""
 
 
 def cmd_solve(args) -> int:
@@ -173,11 +169,11 @@ def _parse_alphas(text):
     for part in text.split(","):
         a1, sep, a2 = part.strip().partition(":")
         if not sep:
-            raise SystemExit2(f"bad --alphas entry '{part}' (want a1:a2)")
+            raise ValueError(f"bad --alphas entry '{part}' (want a1:a2)")
         try:
             pairs.append((float(a1), float(a2)))
         except ValueError:
-            raise SystemExit2(f"bad --alphas entry '{part}'") from None
+            raise ValueError(f"bad --alphas entry '{part}'") from None
     return pairs
 
 
@@ -186,7 +182,7 @@ def cmd_bench(args) -> int:
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     for s in solvers + [args.ref_solver]:
         if s not in SOLVER_NAMES or s == "auto":
-            raise SystemExit2(f"bad solver name '{s}'")
+            raise ValueError(f"bad solver name '{s}'")
     records = []
     any_failed = False
     for a1, a2 in _parse_alphas(args.alphas):
@@ -210,7 +206,7 @@ def cmd_bench(args) -> int:
                 if name in ("ssnal-d", "ssnal-p"):
                     sol = _run_solver(name, data, args.tol, args.max_time,
                                       None)
-                    sol.eta_rel = (sol.pobj - ref.pobj) / (1 + abs(ref.pobj))
+                    sol.eta_rel = eta_rel(sol.pobj, ref.pobj)
                 else:
                     sol = _run_solver(name, data, args.tol, args.max_time,
                                       None, ref_pobj=ref.pobj,
@@ -326,9 +322,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,10 @@ import scipy.sparse as sp
 
 from .common import CONVERGED, MAX_ITERS, MAX_TIME, Solution
 from .linalg import cg_solve, estimate_lipschitz
-from .metrics import duality_metrics, eta_kkt, eta_rel, primal_objective
+from .metrics import (dual_pair, duality_metrics, eta_kkt, eta_rel,
+                      primal_objective)
 from .problem import ProblemData
-from .prox import prox_clustered, prox_conjugate
+from .prox import prox_clustered
 
 # ADMM multiplier step length; convergence needs kappa < (1 + sqrt 5) / 2,
 # the golden ratio, and 1.618 sits just below it
@@ -31,9 +32,9 @@ CG_MAX_ITERS = 1000
 class FirstOrderConfig:
     """Shared controls for the baselines.
 
-    tol_metric picks the stopping rule: "kkt" checks the scaled natural-map
-    residual against tol, "rel" checks the signed relative objective gap
-    against ref_pobj.  variant applies to the dual ADMM only: "exact"
+    The stopping rule checks the signed relative objective gap against
+    ref_pobj when one is given, else the scaled natural-map residual,
+    each against tol.  variant applies to the dual ADMM only: "exact"
     solves with a Cholesky factor of I + sigma A A^T (of I + sigma A^T A
     when n < m), refactored whenever adaptive_sigma moves sigma; "inexact"
     solves by warm-started CG with a summable tolerance
@@ -42,7 +43,6 @@ class FirstOrderConfig:
     """
 
     tol: float = 1e-6
-    tol_metric: str = "kkt"
     ref_pobj: Optional[float] = None
     max_iters: int = 20000
     max_time: float = 10800.0
@@ -52,12 +52,8 @@ class FirstOrderConfig:
     check_every: int = 1
 
     def __post_init__(self):
-        if self.tol_metric not in ("kkt", "rel"):
-            raise ValueError("tol_metric must be 'kkt' or 'rel'")
         if self.variant not in ("exact", "inexact"):
             raise ValueError("variant must be exact or inexact")
-        if self.tol_metric == "rel" and self.ref_pobj is None:
-            raise ValueError("tol_metric='rel' needs ref_pobj")
         if self.max_iters < 1 or self.check_every < 1:
             raise ValueError("max_iters and check_every must be >= 1")
 
@@ -82,7 +78,7 @@ def _check(cfg, data, x, it, trace, deadline, e_rel):
     if trace is not None:
         trace.append((it, primal_objective(x, data)))
     if it % cfg.check_every == 0:
-        if cfg.tol_metric == "rel":
+        if cfg.ref_pobj is not None:
             pobj = (trace[-1][1] if trace is not None
                     else primal_objective(x, data))
             e_rel = eta_rel(pobj, cfg.ref_pobj)
@@ -247,8 +243,7 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         if status:
             break
 
-    xi = A.matvec(z) - b
-    u = prox_conjugate(-A.tmatvec(xi), 1.0, pen)
+    xi, u = dual_pair(z, data)
     return _finish(x, xi, u, data, status, it, t0, e_rel, trace, z=z)
 
 
@@ -296,6 +291,5 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         if status:
             break
 
-    xi = A.matvec(x) - b
-    u = prox_conjugate(-A.tmatvec(xi), 1.0, pen)
+    xi, u = dual_pair(x, data)
     return _finish(x, xi, u, data, status, it, t0, e_rel, trace)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .problem import ProblemData
-from .prox import penalty_value, prox_clustered
+from .prox import penalty_value, prox_clustered, prox_conjugate
 
 
 def primal_objective(x: np.ndarray, data: ProblemData) -> float:
@@ -35,39 +35,53 @@ def duality_metrics(x: np.ndarray, xi: np.ndarray, u: np.ndarray,
     return pobj, dobj, eta_gap, eta_d
 
 
+def dual_pair(z: np.ndarray, data: ProblemData):
+    """The dual pair (xi, u) a primal point z gives: xi = Az - b and
+    u = proj_{dom p*}(-A^T xi)."""
+    A = data.A
+    xi = A.matvec(z) - data.b
+    u = prox_conjugate(-A.tmatvec(xi), 1.0, data.require_penalties())
+    return xi, u
+
+
 def eta_rel(pobj: float, ref_pobj: float) -> float:
     """Signed relative objective gap against a reference solver's value."""
     return (pobj - ref_pobj) / (1.0 + abs(ref_pobj))
 
 
-def nnz(x: np.ndarray, mass: float = 0.99999) -> int:
-    """Smallest k with the top-k absolute entries carrying `mass` of ||x||_1."""
+# the paper's support statistics: nnz keeps 99.999% of the l1 mass, gnnz
+# drops entries below 1e-4 and groups values within a 5/6..6/5 ratio band
+NNZ_MASS = 0.99999
+GNNZ_ZERO_TOL = 1e-4
+GNNZ_RATIO_LO = 5.0 / 6.0
+GNNZ_RATIO_HI = 6.0 / 5.0
+
+
+def nnz(x: np.ndarray) -> int:
+    """Smallest k with the top-k absolute entries carrying NNZ_MASS of
+    ||x||_1."""
     a = np.abs(np.asarray(x, dtype=np.float64))
     total = float(a.sum())
     if total == 0.0:
         return 0
     cs = np.cumsum(np.sort(a)[::-1])
-    return int(np.searchsorted(cs, mass * total) + 1)
+    return int(np.searchsorted(cs, NNZ_MASS * total) + 1)
 
 
-def gnnz(x: np.ndarray, zero_tol: float = 1e-4, ratio_lo: float = 5.0 / 6.0,
-         ratio_hi: float = 6.0 / 5.0, count_zero_group: bool = False) -> int:
-    """Number of near-constant value groups in x.
+def gnnz(x: np.ndarray) -> int:
+    """Number of near-constant nonzero value groups in x.
 
-    Entries below zero_tol in magnitude form a single zero group, excluded
-    from the count unless count_zero_group is set.  The remaining entries
-    are sorted (signed, descending) and swept greedily: a candidate joins
-    the current group while it keeps the same sign and its ratio against
-    both group extremes (on absolute values) stays inside [ratio_lo,
-    ratio_hi]; otherwise it opens a new group.
+    Entries below GNNZ_ZERO_TOL in magnitude form a single zero group,
+    which is not counted.  The remaining entries are sorted (signed,
+    descending) and swept greedily: a candidate joins the current group
+    while it keeps the same sign and its ratio against both group extremes
+    (on absolute values) stays inside [GNNZ_RATIO_LO, GNNZ_RATIO_HI];
+    otherwise it opens a new group.
     """
-    if not (0 < ratio_lo <= 1.0 <= ratio_hi):
-        raise ValueError("need ratio_lo <= 1 <= ratio_hi, both positive")
     x = np.asarray(x, dtype=np.float64)
-    nz = x[np.abs(x) >= zero_tol]
-    has_zeros = nz.size < x.size
+    nz = x[np.abs(x) >= GNNZ_ZERO_TOL]
     if nz.size == 0:
-        return 1 if (count_zero_group and has_zeros) else 0
+        return 0
     vals = np.sort(nz)[::-1]
     groups = 1
     gmin = gmax = abs(vals[0])
@@ -75,8 +89,8 @@ def gnnz(x: np.ndarray, zero_tol: float = 1e-4, ratio_lo: float = 5.0 / 6.0,
     for v in vals[1:]:
         a = abs(v)
         same = (np.sign(v) == gsign
-                and ratio_lo <= a / gmin <= ratio_hi
-                and ratio_lo <= a / gmax <= ratio_hi)
+                and GNNZ_RATIO_LO <= a / gmin <= GNNZ_RATIO_HI
+                and GNNZ_RATIO_LO <= a / gmax <= GNNZ_RATIO_HI)
         if same:
             gmin = min(gmin, a)
             gmax = max(gmax, a)
@@ -84,7 +98,4 @@ def gnnz(x: np.ndarray, zero_tol: float = 1e-4, ratio_lo: float = 5.0 / 6.0,
             groups += 1
             gmin = gmax = a
             gsign = np.sign(v)
-    if count_zero_group and has_zeros:
-        groups += 1
     return groups
-

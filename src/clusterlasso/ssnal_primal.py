@@ -21,9 +21,9 @@ from .common import (NEWTON_CG_ITERS, SolverConfig, Solution,
                      tall_gram, tolerances)
 from .jacobian import ProxJacobian, build_jacobian
 from .linalg import cg_solve
-from .metrics import duality_metrics, eta_kkt
+from .metrics import dual_pair, duality_metrics, eta_kkt
 from .problem import ProblemData
-from .prox import penalty_value, prox_clustered, prox_conjugate
+from .prox import penalty_value, prox_clustered
 
 EPS = np.finfo(np.float64).eps
 
@@ -71,18 +71,18 @@ class PrimalSubproblem:
     phi(x) = 1/2||Ax - b||^2 + p(z) - <y_tilde, x - z> + sigma/2 ||x - z||^2
              + ||x - x_tilde||^2 / (2 sigma).
 
-    Its gradient is the one in the module docstring.  gram (A^T A or None)
-    picks the Newton-system route and the aux vector `newton` carries.
-    Without it aux is Ax.  With it aux is G d, d = x - x_tilde, and the
-    least-squares part expands about x_tilde:
+    Its gradient is the one in the module docstring.  The least-squares
+    part expands about x_tilde, with d = x - x_tilde and G = A^T A:
 
         1/2||Ax - b||^2 = q + <g, d> + <d, G d>/2,   A^T(Ax - b) = g + G d,
 
     with q = 1/2||A x_tilde - b||^2 and g = A^T(A x_tilde - b) from one
-    product with A and one with A^T per subproblem; a Newton step then
-    touches only n-vectors.  The expansion is centred at x_tilde so that
+    product with A and one with A^T per subproblem.  The aux vector
+    `newton` carries is G d.  The expansion is centred at x_tilde so that
     its terms shrink with the step instead of cancelling at the scale of
-    A^T b.
+    A^T b.  `lift` is the one place G is applied: gram (A^T A or None)
+    is the cached matrix on tall designs, else G h takes two products.
+    gram also picks the Newton-system route.
     """
 
     def __init__(self, data: ProblemData, x_tilde: np.ndarray,
@@ -96,37 +96,26 @@ class PrimalSubproblem:
         self.gram = gram
         self.shift = y_tilde + x_tilde / sigma
         self.coef = sigma + 1.0 / sigma
-        if gram is not None:
-            r = data.A.matvec(x_tilde) - data.b
-            self.q_tilde = 0.5 * float(r @ r)
-            self.g_tilde = data.A.tmatvec(r)
+        r = data.A.matvec(x_tilde) - data.b
+        self.q_tilde = 0.5 * float(r @ r)
+        self.g_tilde = data.A.tmatvec(r)
 
     def aux(self, x):
-        if self.gram is None:
-            return self.data.A.matvec(x)
-        return self.gram @ (x - self.x_tilde)
+        return self.lift(x - self.x_tilde)
 
     def prox(self, x, aux):
         return prox_clustered(self.sigma * x - self.y_tilde, self.pen)
 
     def grad(self, x, aux, pr):
-        if self.gram is None:
-            lsq = self.data.A.tmatvec(aux - self.data.b)
-        else:
-            lsq = self.g_tilde + aux
-        return lsq + self.coef * x - self.shift - pr.prox
+        return self.g_tilde + aux + self.coef * x - self.shift - pr.prox
 
     def value(self, x, aux, pr):
         sigma = self.sigma
         z = pr.prox / sigma
         d = x - z
         dx = x - self.x_tilde
-        if self.gram is None:
-            r = aux - self.data.b
-            lsq = 0.5 * float(r @ r)
-        else:
-            lsq = (self.q_tilde + float(self.g_tilde @ dx)
-                   + 0.5 * float(dx @ aux))
+        lsq = (self.q_tilde + float(self.g_tilde @ dx)
+               + 0.5 * float(dx @ aux))
         return (lsq + penalty_value(z, self.pen)
                 - float(self.y_tilde @ d) + 0.5 * sigma * float(d @ d)
                 + float(dx @ dx) / (2.0 * sigma))
@@ -139,7 +128,7 @@ class PrimalSubproblem:
 
     def lift(self, h):
         if self.gram is None:
-            return self.data.A.matvec(h)
+            return self.data.A.tmatvec(self.data.A.matvec(h))
         return self.gram @ h
 
 
@@ -160,7 +149,6 @@ class PrimalStep:
         A = data.A
         self.data = data
         self.cfg = cfg
-        self.pen = data.require_penalties()
         self.floor = 1e-13 * (1.0 + float(np.linalg.norm(data.b)))
         self.sigma0 = max(1.0, float(np.linalg.norm(data.b)) / np.sqrt(A.m))
         self.gram = tall_gram(A)
@@ -190,9 +178,7 @@ class PrimalStep:
         return residuals, ncg, True
 
     def measures(self):
-        A = self.data.A
-        self.xi = A.matvec(self.z) - self.data.b
-        self.u = prox_conjugate(-A.tmatvec(self.xi), 1.0, self.pen)
+        self.xi, self.u = dual_pair(self.z, self.data)
         return (*duality_metrics(self.x, self.xi, self.u, self.data),
                 eta_kkt(self.x, self.data))
 

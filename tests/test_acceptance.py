@@ -86,7 +86,7 @@ def admm_grid(newton_grid):
     runs, _ = newton_grid
     out = {}
     for (sid, seed), (data, _, sol_p) in runs.items():
-        cfg = FirstOrderConfig(tol=1e-4, tol_metric="rel", ref_pobj=sol_p.pobj,
+        cfg = FirstOrderConfig(tol=1e-4, ref_pobj=sol_p.pobj,
                                max_iters=20000, adaptive_sigma=True,
                                check_every=10)
         out[(sid, seed, "p-admm")] = p_admm_solve(data, cfg)

@@ -35,7 +35,7 @@ def test_solver_config_has_no_schedule_knobs():
 
 def test_first_order_config_has_no_constant_knobs():
     fields = {f.name for f in dataclasses.fields(FirstOrderConfig)}
-    for gone in ("kappa", "sigma", "lin_tau", "cg"):
+    for gone in ("kappa", "sigma", "lin_tau", "cg", "tol_metric"):
         assert gone not in fields
         assert not hasattr(FirstOrderConfig(), gone)
 
@@ -71,7 +71,8 @@ def test_linearized_d_admm_is_gone():
 
 
 def test_removed_parameters_stay_removed():
-    from clusterlasso import jacobian, linalg, ssnal_dual, ssnal_primal
+    from clusterlasso import (jacobian, linalg, metrics, ssnal_dual,
+                              ssnal_primal)
 
     def params(fn):
         return set(inspect.signature(fn).parameters)
@@ -80,3 +81,4 @@ def test_removed_parameters_stay_removed():
     assert "cfg" not in params(ssnal_primal.solve_newton_system_primal)
     assert "ties_tol" not in params(jacobian.build_jacobian)
     assert "seed" not in params(linalg.estimate_lipschitz)
+    assert params(metrics.nnz) == params(metrics.gnnz) == {"x"}

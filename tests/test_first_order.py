@@ -44,11 +44,6 @@ ROUTE_SHAPES = {
 
 
 class TestConfig:
-    def test_rel_metric_needs_reference(self):
-        with pytest.raises(ValueError):
-            FirstOrderConfig(tol_metric="rel")
-        FirstOrderConfig(tol_metric="rel", ref_pobj=1.0)
-
     def test_variant_names(self):
         with pytest.raises(ValueError):
             FirstOrderConfig(variant="cholesky")
@@ -130,7 +125,7 @@ class TestAgreementWithNewton:
     def test_relative_gap_stopping(self):
         data = _problem(3)
         ref = solve_dual(data)
-        cfg = FirstOrderConfig(tol=1e-6, tol_metric="rel", ref_pobj=ref.pobj)
+        cfg = FirstOrderConfig(tol=1e-6, ref_pobj=ref.pobj)
         sol = p_admm_solve(data, cfg)
         assert sol.status == CONVERGED
         assert sol.eta_rel is not None
@@ -183,8 +178,8 @@ class TestApg:
             return primal_objective(x, d)
 
         monkeypatch.setattr(first_order, "primal_objective", counted)
-        cfg = FirstOrderConfig(max_iters=20, tol=1e-14, tol_metric="rel",
-                               ref_pobj=0.0, track_objective=True)
+        cfg = FirstOrderConfig(max_iters=20, tol=1e-14, ref_pobj=0.0,
+                               track_objective=True)
         sol = apg_solve(data, cfg)
         assert sol.outer_iters == 20
         assert len(calls) == len(sol.obj_trace) == 20

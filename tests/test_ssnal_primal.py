@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from clusterlasso import common
 from clusterlasso.common import CONVERGED, SolverConfig
@@ -55,8 +56,9 @@ def _grad(sub, x):
 
 
 class TestSubproblem:
-    """Checks of `PrimalSubproblem` with aux = Ax (no Gram matrix);
-    `TestSubproblemGram` runs them on the Gram route."""
+    """Checks of `PrimalSubproblem` with A^T A applied as two products
+    with the design (no Gram matrix); `TestSubproblemGram` runs them with
+    the cached Gram matrix."""
 
     gram = False
 
@@ -112,8 +114,8 @@ class TestSubproblemGram(TestSubproblem):
 
     @pytest.mark.parametrize("seed", range(4))
     def test_value_and_gradient_match_design_route(self, seed):
-        # aux = G (x - x_tilde) with the least-squares part expanded about
-        # x_tilde gives the same value and gradient as aux = Ax
+        # the cached Gram matrix gives the same value and gradient as
+        # A^T A applied by two products with the design
         rng = np.random.default_rng(seed)
         data = _tall_problem(seed, m=40, n=8)
         x_tilde, y_tilde = rng.normal(size=(2, 8))
@@ -248,6 +250,24 @@ class TestSolvePrimal:
         assert dense_route.status == CONVERGED
         assert cg_route.status == CONVERGED
         np.testing.assert_allclose(dense_route.x, cg_route.x, atol=1e-6)
+
+    @pytest.mark.parametrize("m, route", [(40, "gram"), (20, "cg")])
+    def test_sparse_design_matches_dense(self, m, route):
+        # m >= 4n builds the Gram matrix from the CSR design; n < m < 4n
+        # solves the Newton systems by CG with products by the CSR design
+        n = 8
+        rng = np.random.default_rng(37)
+        M = sp.random(m, n, density=0.4, random_state=37, format="csr")
+        b = rng.normal(size=m)
+        pen = Penalties(0.3, 0.1)
+        csr = ProblemData(DesignMatrix(M), b, pen)
+        dense = ProblemData(DesignMatrix(M.toarray()), b, pen)
+        assert csr.A.is_sparse
+        assert (common.tall_gram(csr.A) is not None) == (route == "gram")
+        want = solve_primal(dense)
+        got = solve_primal(csr)
+        assert got.status == want.status == CONVERGED
+        assert got.pobj == pytest.approx(want.pobj, rel=1e-10)
 
     def test_inner_solves_stop_at_the_gradient_rounding_floor(self):
         # At sigma = 1e6 the gradient cannot drop below the rounding of
