@@ -39,24 +39,28 @@ def newton_cg_target(rhs: np.ndarray) -> float:
     return min(ETA_BAR, float(np.linalg.norm(rhs)) ** (1.0 + TAU))
 
 
-def newton(sub, v0, stop, max_newton: int, deadline: float):
+def newton(sub, v0, stop, max_newton: int, deadline: float, aux0=None):
     """Inexact semismooth Newton with an Armijo line search on one
     augmented-Lagrangian subproblem, at most max_newton steps.
 
     sub supplies the formulation: aux(v) is the design product carried
-    along with the iterate, prox(v, aux) the prox result at v, grad and
+    along with the iterate (aux0, when given, is aux(v0), which the caller
+    may already hold), prox(v, aux) the prox result at v, grad and
     value the subproblem's gradient and value, lift(h) the change of aux
     along h, and direction(aux, pr, g, counter) the Newton step h for -g
     together with lift(h), which a route may get more cheaply than lift
     does (CG iterations added to counter[0]).  stop(gnorm, v, pr) decides
-    sufficiency.  The line search uses MU, LS_SHRINK and MAX_LINESEARCH.
+    sufficiency.  The line search uses MU, LS_SHRINK and MAX_LINESEARCH;
+    the value at the point it moves to, accepted or the last trial when
+    MAX_LINESEARCH runs out, is the next step's phi0.
 
     Returns (v, aux, pr, residuals, cg_iters, hit_cap); residuals holds the
     gradient norm at every iterate, hit_cap whether max_newton ran out.
     """
     v = np.array(v0, dtype=np.float64)
-    aux = sub.aux(v)
+    aux = sub.aux(v) if aux0 is None else aux0
     pr = sub.prox(v, aux)
+    phi = None
     residuals = []
     cg_counter = [0]
     for _ in range(max_newton):
@@ -72,16 +76,18 @@ def newton(sub, v0, stop, max_newton: int, deadline: float):
             h = -g
             gh = -gn * gn
             dh = sub.lift(h)
-        phi0 = sub.value(v, aux, pr)
+        if phi is None:
+            phi = sub.value(v, aux, pr)
         alpha = 1.0
         for _ in range(MAX_LINESEARCH):
             v_t = v + alpha * h
             aux_t = aux + alpha * dh
             pr_t = sub.prox(v_t, aux_t)
-            if sub.value(v_t, aux_t, pr_t) <= phi0 + MU * alpha * gh:
+            phi_t = sub.value(v_t, aux_t, pr_t)
+            if phi_t <= phi + MU * alpha * gh:
                 break
             alpha *= LS_SHRINK
-        v, aux, pr = v_t, aux_t, pr_t
+        v, aux, pr, phi = v_t, aux_t, pr_t, phi_t
     residuals.append(float(np.linalg.norm(sub.grad(v, aux, pr))))
     return v, aux, pr, residuals, cg_counter[0], True
 

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .common import CONVERGED, MAX_ITERS, MAX_TIME, Solution
 from .linalg import cg_solve, estimate_lipschitz
 from .metrics import (dual_pair, duality_metrics, eta_kkt, eta_rel,
-                      primal_objective)
+                      lsq_residual, primal_objective)
 from .problem import ProblemData
 from .prox import prox_clustered
 
@@ -59,11 +59,14 @@ class FirstOrderConfig:
 
 
 def _finish(x, xi, u, data, status, iters, t0, e_rel, trace, z=None,
-            cg_iters=0):
-    pobj, dobj, e_gap, e_d = duality_metrics(x, xi, u, data)
+            cg_iters=0, at_xi=None):
+    """The baselines' Solution; r = Ax - b serves pobj and A^T r eta_kkt,
+    and at_xi = A^T xi, which `dual_pair` gives, eta_d."""
+    r, g = lsq_residual(x, data)
+    pobj, dobj, e_gap, e_d = duality_metrics(x, xi, u, data, r, at_xi)
     return Solution(
         x=x, xi=xi, u=u, pobj=pobj, dobj=dobj, eta_gap=e_gap, eta_d=e_d,
-        eta_kkt=eta_kkt(x, data), status=status or MAX_ITERS,
+        eta_kkt=eta_kkt(x, data, g), status=status or MAX_ITERS,
         outer_iters=iters, total_cg_iters=cg_iters,
         wall_time=time.perf_counter() - t0, z=z, eta_rel=e_rel,
         obj_trace=trace)
@@ -243,8 +246,9 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         if status:
             break
 
-    xi, u = dual_pair(z, data)
-    return _finish(x, xi, u, data, status, it, t0, e_rel, trace, z=z)
+    xi, u, at_xi = dual_pair(z, data)
+    return _finish(x, xi, u, data, status, it, t0, e_rel, trace, z=z,
+                   at_xi=at_xi)
 
 
 def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
@@ -291,5 +295,6 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         if status:
             break
 
-    xi, u = dual_pair(x, data)
-    return _finish(x, xi, u, data, status, it, t0, e_rel, trace)
+    xi, u, at_xi = dual_pair(x, data)
+    return _finish(x, xi, u, data, status, it, t0, e_rel, trace,
+                   at_xi=at_xi)

@@ -112,9 +112,11 @@ def cg_solve(apply, rhs: np.ndarray, tol: float, max_iters: int,
     raise MaxItersExceeded(x, np.sqrt(rr), max_iters)
 
 
-def estimate_lipschitz(A, iters: int = 100) -> float:
+def estimate_lipschitz(A, iters: int = 100, gram=None) -> float:
     """Power-iteration estimate of lambda_max(A^T A), padded by 1.01.
 
+    Each iteration applies A^T A as two products with A, or as one with
+    gram = A^T A when the caller holds it; the two agree to roundoff.
     Deterministic: the start vector comes from a fixed seed.  Returns 0.0
     for a zero matrix.
     """
@@ -127,7 +129,7 @@ def estimate_lipschitz(A, iters: int = 100) -> float:
     v /= nv
     lam = 0.0
     for _ in range(iters):
-        w = A.tmatvec(A.matvec(v))
+        w = A.tmatvec(A.matvec(v)) if gram is None else gram @ v
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0

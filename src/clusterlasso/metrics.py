@@ -1,4 +1,12 @@
-"""Optimality measures and sparsity summaries reported by every solver."""
+"""Optimality measures and sparsity summaries reported by every solver.
+
+The measures take the design products a solver already holds: r = Ax - b
+(`lsq_residual`) for the primal objective, g = A^T r for eta_kkt and A^T xi
+for eta_d.  Each one left out is formed here, so a call without them
+gives the same bytes as one with them.
+"""
+
+from typing import Optional
 
 import numpy as np
 
@@ -6,8 +14,16 @@ from .problem import ProblemData
 from .prox import penalty_value, prox_clustered, prox_conjugate
 
 
-def primal_objective(x: np.ndarray, data: ProblemData) -> float:
+def lsq_residual(x: np.ndarray, data: ProblemData):
+    """(r, g) = (Ax - b, A^T(Ax - b)): one product with A, one with A^T."""
     r = data.A.matvec(x) - data.b
+    return r, data.A.tmatvec(r)
+
+
+def primal_objective(x: np.ndarray, data: ProblemData,
+                     r: Optional[np.ndarray] = None) -> float:
+    if r is None:
+        r = data.A.matvec(x) - data.b
     return 0.5 * float(r @ r) + penalty_value(x, data.require_penalties())
 
 
@@ -15,33 +31,40 @@ def dual_objective(xi: np.ndarray, data: ProblemData) -> float:
     return -0.5 * float(xi @ xi) - float(data.b @ xi)
 
 
-def eta_kkt(x: np.ndarray, data: ProblemData) -> float:
-    """Scaled natural-map residual ||x - prox_p(x - A^T(Ax - b))|| / (1 + ||x|| + ||A^T(Ax-b)||)."""
-    pen = data.require_penalties()
-    g = data.A.tmatvec(data.A.matvec(x) - data.b)
-    r = x - prox_clustered(x - g, pen).prox
+def eta_kkt(x: np.ndarray, data: ProblemData,
+            g: Optional[np.ndarray] = None) -> float:
+    """Scaled natural-map residual ||x - prox_p(x - g)|| / (1 + ||x|| + ||g||)
+    with g = A^T(Ax - b)."""
+    if g is None:
+        g = lsq_residual(x, data)[1]
+    r = x - prox_clustered(x - g, data.require_penalties()).prox
     return float(np.linalg.norm(r)) / (
         1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(g)))
 
 
 def duality_metrics(x: np.ndarray, xi: np.ndarray, u: np.ndarray,
-                    data: ProblemData):
-    """Returns (pobj, dobj, eta_gap, eta_d)."""
-    pobj = primal_objective(x, data)
+                    data: ProblemData, r: Optional[np.ndarray] = None,
+                    at_xi: Optional[np.ndarray] = None):
+    """Returns (pobj, dobj, eta_gap, eta_d); r = Ax - b and at_xi = A^T xi
+    when the caller has them."""
+    pobj = primal_objective(x, data, r)
     dobj = dual_objective(xi, data)
     eta_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    feas = data.A.tmatvec(xi) + u
+    if at_xi is None:
+        at_xi = data.A.tmatvec(xi)
+    feas = at_xi + u
     eta_d = float(np.linalg.norm(feas)) / (1.0 + float(np.linalg.norm(u)))
     return pobj, dobj, eta_gap, eta_d
 
 
 def dual_pair(z: np.ndarray, data: ProblemData):
-    """The dual pair (xi, u) a primal point z gives: xi = Az - b and
-    u = proj_{dom p*}(-A^T xi)."""
+    """The dual pair a primal point z gives, and A^T xi: returns
+    (xi, u, A^T xi) with xi = Az - b and u = proj_{dom p*}(-A^T xi)."""
     A = data.A
     xi = A.matvec(z) - data.b
-    u = prox_conjugate(-A.tmatvec(xi), 1.0, data.require_penalties())
-    return xi, u
+    at_xi = A.tmatvec(xi)
+    u = prox_conjugate(-at_xi, 1.0, data.require_penalties())
+    return xi, u, at_xi
 
 
 def eta_rel(pobj: float, ref_pobj: float) -> float:

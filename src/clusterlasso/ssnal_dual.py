@@ -22,7 +22,7 @@ from .common import (DENSE_CAP, NEWTON_CG_ITERS, SolverConfig, Solution,
                      tall_gram, tolerances)
 from .jacobian import ProxJacobian, build_jacobian, design_factors
 from .linalg import cg_solve, estimate_lipschitz
-from .metrics import duality_metrics, eta_kkt
+from .metrics import duality_metrics, eta_kkt, lsq_residual
 from .problem import ProblemData
 from .prox import prox_clustered
 
@@ -162,7 +162,14 @@ class DualStep:
     sigma0 = SIGMA0_CURVATURE / L with L a 10-step power estimate of
     lambda_max(A^T A) (1 when A is zero), so the first subproblem's
     curvature sigma A M A^T has the same size whatever the scale of A and
-    b.  gram is `tall_gram`'s A^T A or None, and atb = A^T b goes with it.
+    b.  gram is `tall_gram`'s A^T A or None, and atb = A^T b goes with it;
+    on a tall design the power estimate iterates with gram and makes no
+    product with A.
+
+    measures makes three products with the design per outer iteration:
+    r = A x - b serves pobj, A^T r eta_kkt, and at_xi = A^T xi eta_d and
+    the next inner solve's start y = x/sigma - A^T xi (xi does not change
+    in between).
     """
 
     z = None
@@ -171,12 +178,13 @@ class DualStep:
         self.data = data
         self.cfg = cfg
         self.floor = 1e-13 * (1.0 + float(np.linalg.norm(data.b)))
-        lip = estimate_lipschitz(data.A, iters=10)
-        self.sigma0 = SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
         self.gram = tall_gram(data.A)
+        lip = estimate_lipschitz(data.A, iters=10, gram=self.gram)
+        self.sigma0 = SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
         self.atb = None if self.gram is None else data.A.tmatvec(data.b)
         self.xi = np.zeros(data.A.m)
-        self.u = self.x = np.zeros(data.A.n)  # replaced, never updated
+        # replaced, never updated; at_xi = A^T xi, zero at xi = 0
+        self.u = self.x = self.at_xi = np.zeros(data.A.n)
 
     def inner(self, sigma, k, deadline):
         eps_k, delta_k, deltap_k = tolerances(k)
@@ -192,15 +200,20 @@ class DualStep:
             return gn <= min(delta_k * sqrt_sigma, deltap_k) * feas
 
         self.xi, y, pr, residuals, ncg, hit_cap = newton(
-            sub, self.xi, stop, self.cfg.ssn.max_newton, deadline)
+            sub, self.xi, stop, self.cfg.ssn.max_newton, deadline,
+            aux0=sub.x_over_sigma - self.at_xi)
+        self.at_xi = None  # measures forms it at the new xi
         if not hit_cap:
             self.u = y - pr.prox
             self.x = sigma * pr.prox
         return residuals, ncg, not hit_cap
 
     def measures(self):
-        return (*duality_metrics(self.x, self.xi, self.u, self.data),
-                eta_kkt(self.x, self.data))
+        r, g = lsq_residual(self.x, self.data)
+        self.at_xi = self.data.A.tmatvec(self.xi)
+        return (*duality_metrics(self.x, self.xi, self.u, self.data, r,
+                                 self.at_xi),
+                eta_kkt(self.x, self.data, g))
 
 
 def solve(data: ProblemData, cfg: Optional[SolverConfig] = None) -> Solution:

@@ -21,7 +21,7 @@ from .common import (NEWTON_CG_ITERS, SolverConfig, Solution,
                      tall_gram, tolerances)
 from .jacobian import ProxJacobian, build_jacobian
 from .linalg import cg_solve
-from .metrics import dual_pair, duality_metrics, eta_kkt
+from .metrics import dual_pair, duality_metrics, eta_kkt, lsq_residual
 from .problem import ProblemData
 from .prox import penalty_value, prox_clustered
 
@@ -76,8 +76,10 @@ class PrimalSubproblem:
 
         1/2||Ax - b||^2 = q + <g, d> + <d, G d>/2,   A^T(Ax - b) = g + G d,
 
-    with q = 1/2||A x_tilde - b||^2 and g = A^T(A x_tilde - b) from one
-    product with A and one with A^T per subproblem.  The aux vector
+    with q = 1/2||r||^2 and g = A^T r, r = A x_tilde - b.  lsq is (r, g)
+    when the caller already has them (`PrimalStep.measures` forms them at
+    the iterate the next subproblem is centred at), else they take one
+    product with A and one with A^T here.  The aux vector
     `newton` carries is G d.  The expansion is centred at x_tilde so that
     its terms shrink with the step instead of cancelling at the scale of
     A^T b.  `lift` is the one place G is applied: gram (A^T A or None)
@@ -87,7 +89,7 @@ class PrimalSubproblem:
 
     def __init__(self, data: ProblemData, x_tilde: np.ndarray,
                  y_tilde: np.ndarray, sigma: float,
-                 gram: Optional[np.ndarray]):
+                 gram: Optional[np.ndarray], lsq: Optional[tuple] = None):
         self.data = data
         self.pen = data.require_penalties()
         self.x_tilde = x_tilde
@@ -96,9 +98,9 @@ class PrimalSubproblem:
         self.gram = gram
         self.shift = y_tilde + x_tilde / sigma
         self.coef = sigma + 1.0 / sigma
-        r = data.A.matvec(x_tilde) - data.b
+        r, self.g_tilde = lsq if lsq is not None else lsq_residual(
+            x_tilde, data)
         self.q_tilde = 0.5 * float(r @ r)
-        self.g_tilde = data.A.tmatvec(r)
 
     def aux(self, x):
         return self.lift(x - self.x_tilde)
@@ -140,9 +142,14 @@ class PrimalStep:
     step size, scaled by eps_k / sigma, but never below EPS sigma ||x||:
     the rounding level of the gradient's sigma x term, which no step can
     get under.  The multiplier step is taken even after a capped inner
-    solve, so every step is accepted.  For the optimality
-    measures the dual pair is xi = A z - b and u = proj_{dom p*}(-A^T xi).
-    sigma0 = max(1, ||b|| / sqrt(m)).
+    solve, so every step is accepted.
+
+    measures makes four products with the design per outer iteration and
+    shares each: xi = A z - b and A^T xi give the dual pair u =
+    proj_{dom p*}(-A^T xi) and eta_d; r = A x - b gives pobj, and g = A^T r
+    eta_kkt.  The next subproblem is centred at this x, so (r, g) is also
+    its expansion, kept in lsq until the next inner takes it; only the
+    first subproblem forms its own.  sigma0 = max(1, ||b|| / sqrt(m)).
     """
 
     def __init__(self, data: ProblemData, cfg: SolverConfig):
@@ -155,6 +162,7 @@ class PrimalStep:
         # every iterate is replaced, never updated in place
         self.x = self.z = self.y = self.u = np.zeros(A.n)
         self.xi = np.zeros(A.m)
+        self.lsq = None  # (A x - b, A^T(A x - b)) at the current x
 
     def inner(self, sigma, k, deadline):
         eps_k = tolerances(k)[0]
@@ -170,7 +178,8 @@ class PrimalStep:
                            + float((y_c - y0) @ (y_c - y0)))
             return gn <= (eps_k / sigma) * min(1.0, step)
 
-        sub = PrimalSubproblem(self.data, x0, y0, sigma, self.gram)
+        sub = PrimalSubproblem(self.data, x0, y0, sigma, self.gram, self.lsq)
+        self.lsq = None
         self.x, _, pr, residuals, ncg, _ = newton(
             sub, x0, stop, self.cfg.ssn.max_newton, deadline)
         self.z = pr.prox / sigma
@@ -178,9 +187,11 @@ class PrimalStep:
         return residuals, ncg, True
 
     def measures(self):
-        self.xi, self.u = dual_pair(self.z, self.data)
-        return (*duality_metrics(self.x, self.xi, self.u, self.data),
-                eta_kkt(self.x, self.data))
+        self.xi, self.u, at_xi = dual_pair(self.z, self.data)
+        self.lsq = r, g = lsq_residual(self.x, self.data)
+        return (*duality_metrics(self.x, self.xi, self.u, self.data, r,
+                                 at_xi),
+                eta_kkt(self.x, self.data, g))
 
 
 def solve_primal(data: ProblemData,

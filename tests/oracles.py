@@ -4,12 +4,15 @@ Everything here deliberately avoids the library's own algorithmic path:
 the penalty is evaluated by an O(n^2) double loop, the prox by an ADMM on
 the explicit all-pairs difference matrix, the isotone projection by an
 exhaustive active-set QP search, and the prox Jacobian by the dense
-pseudo-inverse formula.
+pseudo-inverse formula.  `count_design_products` counts the solvers'
+products with the design.
 """
 
 import itertools
 
 import numpy as np
+
+from clusterlasso.linalg import DesignMatrix
 
 
 def pairwise_penalty(x, beta, rho):
@@ -169,3 +172,17 @@ def dense_jacobian_oracle(y, beta, rho, ties_tol=1e-10):
 def dense_matrix_from_apply(apply, n):
     cols = [apply(e) for e in np.eye(n)]
     return np.array(cols).T
+
+
+def count_design_products(monkeypatch):
+    """Count every DesignMatrix.matvec and tmatvec call (products with the
+    m x n design) from here on; returns the one-element counter list."""
+    counter = [0]
+    for name in ("matvec", "tmatvec"):
+        orig = getattr(DesignMatrix, name)
+
+        def counted(self, v, orig=orig):
+            counter[0] += 1
+            return orig(self, v)
+        monkeypatch.setattr(DesignMatrix, name, counted)
+    return counter

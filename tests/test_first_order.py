@@ -69,6 +69,18 @@ class TestLipschitzEstimate:
         A = DesignMatrix(np.zeros((3, 2)))
         assert estimate_lipschitz(A) == 0.0
 
+    @pytest.mark.parametrize("iters", [10, 100])
+    def test_gram_iteration_matches_design_iteration(self, iters):
+        # A^T A applied as one cached matrix or as two products with A:
+        # the same power iteration up to roundoff
+        for seed in range(5):
+            M = np.random.default_rng(seed).normal(size=(40, 8))
+            for A in (DesignMatrix(M), DesignMatrix(sp.csr_matrix(M))):
+                assert estimate_lipschitz(A, iters, gram=A.gram()) == (
+                    pytest.approx(estimate_lipschitz(A, iters), rel=1e-12))
+        zero = DesignMatrix(np.zeros((3, 2)))
+        assert estimate_lipschitz(zero, gram=zero.gram()) == 0.0
+
 
 class TestSoftThresholdCrossCheck:
     """With rho = 0 and orthogonal design the solution is closed form."""

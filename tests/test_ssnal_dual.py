@@ -24,7 +24,8 @@ from clusterlasso.metrics import primal_objective
 from clusterlasso.problem import ProblemData
 from clusterlasso.prox import Penalties, prox_clustered
 from clusterlasso.ssnal_dual import DualSubproblem, solve, solve_newton_system
-from oracles import dense_matrix_from_apply, prox_oracle
+from oracles import (count_design_products, dense_matrix_from_apply,
+                     prox_oracle)
 
 
 def _random_problem(seed, m=12, n=8, beta=0.3, rho=0.1):
@@ -235,6 +236,27 @@ class TestInnerNewton:
             other = xi + 1e-4 * rng.normal(size=12)
             assert base <= _value(sub, other) + 1e-14
 
+    @pytest.mark.parametrize("max_linesearch", [40, 1])
+    def test_value_once_per_point(self, monkeypatch, max_linesearch):
+        # the value at the point a line search moves to, accepted or the
+        # last trial, is the next step's phi0: value is evaluated at the
+        # start point and at each trial, as the prox is
+        monkeypatch.setattr(common, "MAX_LINESEARCH", max_linesearch)
+        data = _random_problem(5)
+        sub = DualSubproblem(data, np.random.default_rng(5).normal(size=8),
+                             2.0)
+        calls = {"value": 0, "prox": 0}
+        for name in calls:
+            def counted(*args, orig=getattr(sub, name), name=name):
+                calls[name] += 1
+                return orig(*args)
+            setattr(sub, name, counted)
+        *_, residuals, _, _ = newton(
+            sub, np.zeros(12), lambda gn, _xi, _pr: gn <= 1e-10, 50,
+            deadline=np.inf)
+        assert len(residuals) > 2
+        assert calls["value"] == calls["prox"]
+
     def test_cap_sets_hit_cap(self):
         data = _random_problem(7)
         _, (*_, residuals, _, hit_cap) = _inner(data, np.ones(8), 1.0, 1e-14,
@@ -319,6 +341,31 @@ class TestOuterLoop:
         sol = solve(data, SolverConfig(max_outer=1, tol=1e-14))
         assert sol.status == "max_iters"
         assert sol.outer_iters == 1
+
+    def test_tall_design_products(self, monkeypatch):
+        # Set-up makes one product, A^T b: the power estimate iterates with
+        # the cached A^T A.  An inner solve makes a gradient product at each
+        # of its N_k + 1 iterates and one in each Newton direction whose
+        # Jacobian is not empty; measures makes three (r = A x - b, A^T r,
+        # and A^T xi, which also starts the next inner solve).
+        data = _random_problem(3, m=40, n=8)
+        assert common.tall_gram(data.A) is not None
+        products = count_design_products(monkeypatch)
+        ssnal_dual.DualStep(data, SolverConfig())
+        assert products[0] == 1
+        empty = [0]
+        build = ssnal_dual.build_jacobian
+
+        def counted(pr, pen):
+            jac = build(pr, pen)
+            empty[0] += jac.free_idx.shape[0] + jac.npools == 0
+            return jac
+        monkeypatch.setattr(ssnal_dual, "build_jacobian", counted)
+        products[0] = 0
+        sol = solve(data)
+        assert sol.status == CONVERGED
+        assert products[0] == (1 + 2 * sol.total_newton_iters
+                               + 4 * sol.outer_iters - empty[0])
 
     def test_sigma_recovery_on_hard_tall_instance(self):
         # On this correlated tall design the x3 sigma growth outruns what

@@ -24,7 +24,7 @@ from clusterlasso.ssnal_primal import (
     solve_newton_system_primal,
     solve_primal,
 )
-from oracles import dense_matrix_from_apply
+from oracles import count_design_products, dense_matrix_from_apply
 
 
 def _tall_problem(seed, m=30, n=6, beta=0.3, rho=0.1):
@@ -268,6 +268,20 @@ class TestSolvePrimal:
         got = solve_primal(csr)
         assert got.status == want.status == CONVERGED
         assert got.pobj == pytest.approx(want.pobj, rel=1e-10)
+
+    def test_tall_design_products_per_outer_iteration(self, monkeypatch):
+        # With A^T A cached the Newton steps (sol.total_newton_iters of
+        # them) make no product with A.  The first subproblem forms r and
+        # g = A^T r at x = 0; each outer iteration makes four: xi = A z - b
+        # and A^T xi (dual pair, eta_d), r = A x - b and A^T r (pobj,
+        # eta_kkt, and the next subproblem's expansion).
+        data = _tall_problem(3, m=40, n=8)
+        assert common.tall_gram(data.A) is not None
+        products = count_design_products(monkeypatch)
+        sol = solve_primal(data)
+        assert sol.status == CONVERGED
+        assert sol.total_newton_iters > sol.outer_iters
+        assert products[0] == 2 + 4 * sol.outer_iters
 
     def test_inner_solves_stop_at_the_gradient_rounding_floor(self):
         # At sigma = 1e6 the gradient cannot drop below the rounding of
