@@ -7,6 +7,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
+import scipy.linalg as sla
+
+from .linalg import DesignMatrix
+from .problem import ProblemData
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -121,15 +125,51 @@ def tall_gram(A) -> Optional[np.ndarray]:
     return A.gram() if A.n <= DENSE_CAP and A.m >= 4 * A.n else None
 
 
+class SquareRootForm:
+    """The problem an SSNAL solver works on: with gram = `tall_gram(A)`
+    and its Cholesky factor G = R^T R, the n x n problem (R, c) with
+    R^T c = A^T b and offset (||b||^2 - ||c||^2) / 2, so that
+    1/2||Rx - c||^2 + offset = 1/2||Ax - b||^2 and x, z, u carry over.
+    Otherwise (no gram, or G singular) the problem as given.
+    """
+
+    def __init__(self, data):
+        self.source = self.data = data
+        self.gram = tall_gram(data.A)
+        self.factor = None
+        if self.gram is None:
+            return
+        try:
+            self.factor = sla.cholesky(self.gram)
+        except np.linalg.LinAlgError:
+            return
+        c = sla.solve_triangular(self.factor, data.A.tmatvec(data.b),
+                                 trans="T")
+        kappa = 0.5 * (float(data.b @ data.b) - float(c @ c))
+        self.data = ProblemData(DesignMatrix(self.factor), c, data.penalties,
+                                data.offset + kappa)
+
+    def dual_point(self, xi: np.ndarray) -> np.ndarray:
+        """The given problem's dual point A R^{-1}(xi + c) - b, whose A^T
+        product is R^T xi and whose dual objective is that of xi."""
+        if self.factor is None:
+            return xi
+        src = self.source
+        return src.A.matvec(
+            sla.solve_triangular(self.factor, xi + self.data.b)) - src.b
+
+
 def augmented_lagrangian(make_step, data, cfg) -> "Solution":
     """Outer augmented-Lagrangian loop shared by both SSNAL solvers.
 
-    make_step(data, cfg) builds the formulation's step (inside the timed
-    window).  Per outer iteration step.inner(sigma, k, deadline) solves the
-    subproblem and returns (residuals, cg_iters, accepted), applying the
-    multiplier update only when accepted; k counts accepted updates and
-    drives `tolerances`.  step.measures() gives (pobj, dobj, eta_gap,
-    eta_d, eta_kkt) at the iterates step.x, step.xi, step.u, step.z.
+    make_step(data, cfg, form) builds the formulation's step on form =
+    `SquareRootForm(data)` (both inside the timed window); form.dual_point
+    maps the final xi back to data.  Per outer iteration
+    step.inner(sigma, k, deadline) solves the subproblem and returns
+    (residuals, cg_iters, accepted), applying the multiplier update only
+    when accepted; k counts accepted updates and drives `tolerances`.
+    step.measures() gives (pobj, dobj, eta_gap, eta_d, eta_kkt) at the
+    iterates step.x, step.xi, step.u, step.z.
 
     sigma starts at step.sigma0, which each formulation picks from the
     data.  An accepted step grows it; a rejected one keeps the iterates,
@@ -140,7 +180,8 @@ def augmented_lagrangian(make_step, data, cfg) -> "Solution":
     """
     t0 = time.perf_counter()
     deadline = t0 + cfg.max_time
-    step = make_step(data, cfg)
+    form = SquareRootForm(data)
+    step = make_step(data, cfg, form)
     sigma = step.sigma0
 
     status = MAX_ITERS
@@ -172,9 +213,9 @@ def augmented_lagrangian(make_step, data, cfg) -> "Solution":
         sigma = min(SIGMA_GROWTH * sigma, ceiling, SIGMA_MAX)
 
     return Solution(
-        x=step.x, xi=step.xi, u=step.u, z=step.z, pobj=pobj, dobj=dobj,
-        eta_gap=e_gap, eta_d=e_d, eta_kkt=e_kkt, status=status,
-        outer_iters=outer, total_newton_iters=total_newton,
+        x=step.x, xi=form.dual_point(step.xi), u=step.u, z=step.z,
+        pobj=pobj, dobj=dobj, eta_gap=e_gap, eta_d=e_d, eta_kkt=e_kkt,
+        status=status, outer_iters=outer, total_newton_iters=total_newton,
         total_cg_iters=total_cg, wall_time=time.perf_counter() - t0,
         newton_residuals=newton_residuals)
 

@@ -72,9 +72,10 @@ def _finish(x, xi, u, data, status, iters, t0, e_rel, trace, z=None,
         obj_trace=trace)
 
 
-def _check(cfg, data, x, it, trace, deadline, e_rel):
+def _check(cfg, data, x, it, trace, deadline, e_rel, gram=None, atb=None):
     """Loop tail shared by the baselines: objective trace, the configured
-    stopping rule every check_every iterations, then the deadline.
+    stopping rule every check_every iterations, then the deadline.  A
+    solver holding gram = A^T A and atb = A^T b passes them for eta_kkt.
 
     Returns (status, eta_rel): status is None while the loop goes on.
     """
@@ -87,7 +88,8 @@ def _check(cfg, data, x, it, trace, deadline, e_rel):
             e_rel = eta_rel(pobj, cfg.ref_pobj)
             if e_rel <= cfg.tol:
                 return CONVERGED, e_rel
-        elif eta_kkt(x, data) <= cfg.tol:
+        elif eta_kkt(x, data,
+                     None if gram is None else gram @ x - atb) <= cfg.tol:
             return CONVERGED, e_rel
     if time.perf_counter() > deadline:
         return MAX_TIME, e_rel
@@ -184,7 +186,8 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
                     chol = factor(sigma)
         u_prev = u
 
-        status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel)
+        status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel,
+                               *((gram, atb) if gram_side else ()))
         if status:
             break
 
@@ -242,7 +245,8 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
                 chol = factor(sigma)
         z_prev = z
 
-        status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel)
+        status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel,
+                               gram, atb)
         if status:
             break
 
@@ -263,18 +267,18 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     t0 = time.perf_counter()
     deadline = t0 + cfg.max_time
 
-    L = lipschitz if lipschitz is not None else estimate_lipschitz(A)
+    # on a dense tall design one product with A^T A replaces two with A in
+    # each gradient, power iteration and stopping check
+    gram, atb = ((A.gram(), A.tmatvec(b)) if not A.is_sparse and n < A.m
+                 else (None, None))
+    L = (lipschitz if lipschitz is not None
+         else estimate_lipschitz(A, gram=gram))
     if L <= 0:
         raise ValueError("need a positive Lipschitz estimate (zero matrix?)")
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     w = x.copy()
     t = 1.0
-    # on a dense tall design A^T A is smaller than A, and one n x n product
-    # per gradient replaces two m x n ones
-    gram = A.gram() if not A.is_sparse and n < A.m else None
-    if gram is not None:
-        atb = A.tmatvec(b)
 
     trace = [] if cfg.track_objective else None
     status = e_rel = None
@@ -291,7 +295,8 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         w = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
 
-        status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel)
+        status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel,
+                               gram, atb)
         if status:
             break
 

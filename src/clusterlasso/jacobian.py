@@ -57,7 +57,7 @@ class ProxJacobian:
         """P^T v along axis 0, for the n x k factor P with M = P P^T: one
         unit column per free coordinate, then one column per kept pool of
         size s holding 1/sqrt(s) on its coordinates.  v may be a vector or
-        an array with n rows (a Gram matrix, say)."""
+        an array with n rows (the row-major view A^T, say)."""
         v = np.asarray(v, dtype=np.float64)
         sums = np.add.reduceat(v[self.pool_idx], self.pool_offsets, axis=0)
         scale = self._pool_scale().reshape((-1,) + (1,) * (v.ndim - 1))

@@ -122,11 +122,7 @@ def estimate_lipschitz(A, iters: int = 100, gram=None) -> float:
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(A.n)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:  # pragma: no cover - measure zero
-        v = np.ones(A.n)
-        nv = np.sqrt(A.n)
-    v /= nv
+    v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iters):
         w = A.tmatvec(A.matvec(v)) if gram is None else gram @ v

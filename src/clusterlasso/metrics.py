@@ -24,11 +24,12 @@ def primal_objective(x: np.ndarray, data: ProblemData,
                      r: Optional[np.ndarray] = None) -> float:
     if r is None:
         r = data.A.matvec(x) - data.b
-    return 0.5 * float(r @ r) + penalty_value(x, data.require_penalties())
+    return (0.5 * float(r @ r) + data.offset
+            + penalty_value(x, data.require_penalties()))
 
 
 def dual_objective(xi: np.ndarray, data: ProblemData) -> float:
-    return -0.5 * float(xi @ xi) - float(data.b @ xi)
+    return -0.5 * float(xi @ xi) - float(data.b @ xi) + data.offset
 
 
 def eta_kkt(x: np.ndarray, data: ProblemData,

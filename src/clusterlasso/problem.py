@@ -15,12 +15,14 @@ class ProblemData:
 
     penalties may be left None while assembling a problem (e.g. right after
     synthetic generation, before the levels are derived from A and b); the
-    solver entry points reject it.
+    solver entry points reject it.  offset, added to both objectives, is
+    the part of 1/2||Ax - b||^2 an equivalent smaller problem leaves out.
     """
 
     A: DesignMatrix
     b: np.ndarray
     penalties: Optional[Penalties] = None
+    offset: float = 0.0
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=np.float64).ravel()

@@ -7,8 +7,8 @@ Works on the dual formulation
 driving xi with an inexact Newton method on the (smooth, strongly convex)
 augmented-Lagrangian subproblem and recovering the primal iterate through
 the prox.  Preferred when m <= n: the Newton systems live in R^m and their
-curvature part A M A^T = W W^T has a thin factor W = AP.  On tall designs
-the same systems are solved through the n-side with a cached A^T A.
+curvature part A M A^T = W W^T has a thin factor W = AP.  On a tall design
+it runs on the n x n problem (R, c) of `SquareRootForm`, where W = RP.
 """
 
 from typing import Optional
@@ -18,8 +18,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .common import (DENSE_CAP, NEWTON_CG_ITERS, SolverConfig, Solution,
-                     augmented_lagrangian, newton, newton_cg_target,
-                     tall_gram, tolerances)
+                     SquareRootForm, augmented_lagrangian, newton,
+                     newton_cg_target, tolerances)
 from .jacobian import ProxJacobian, build_jacobian, design_factors
 from .linalg import cg_solve, estimate_lipschitz
 from .metrics import duality_metrics, eta_kkt, lsq_residual
@@ -32,65 +32,41 @@ SIGMA0_CURVATURE = 100.0
 
 
 def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
-                        counter=None, gram: Optional[np.ndarray] = None,
-                        at_rhs: Optional[np.ndarray] = None):
-    """Solve (I + sigma A M A^T) h = rhs to the inexact-Newton tolerance.
+                        counter=None):
+    """Solve (I + sigma A M A^T) h = rhs to the inexact-Newton tolerance;
+    returns (h, -A^T h), the step and the change of y = x/sigma - A^T xi.
 
-    Returns (h, -A^T h): the step and the change of y = x/sigma - A^T xi
-    along it.  With M = P P^T (`ProxJacobian.restrict` applies P^T) the
-    matrix is I + sigma (AP)(AP)^T, k = |free| + pools columns.  Routing:
-    - gram = A^T A given (tall designs), with at_rhs = A^T rhs, which
-      the caller forms on the n-side: Woodbury through the k-side,
-      h = rhs - A P q with q = (I/sigma + P^T G P)^{-1} P^T A^T rhs, so
-      A^T h = A^T rhs - G P q.  One product with A around a k x k
-      Cholesky; no m x k array is formed;
-    - otherwise `_solve_thin` by cost, and -A^T h by one product with A^T.
-    A CG route stops at `newton_cg_target(rhs)`.
+    With M = P P^T the matrix is I + sigma W W^T for the m x k thin factor
+    W = AP from `design_factors` (k = |free| + pools; h = rhs when k = 0),
+    solved by SMW when k < m and k <= DENSE_CAP (cost m k^2), else by a
+    dense m x m factorization when m <= DENSE_CAP, else by CG on
+    v + sigma W (W^T v) to `newton_cg_target(rhs)` in at most
+    NEWTON_CG_ITERS iterations.  The direct routes densify a sparse W; CG
+    keeps it sparse.
     """
     if jac.free_idx.shape[0] + jac.npools == 0:
-        return rhs.copy(), -(A.tmatvec(rhs) if gram is None else at_rhs)
-    if gram is None:
-        h = _solve_thin(jac, A, sigma, rhs, counter)
-        return h, -A.tmatvec(h)
-    S = jac.restrict(jac.restrict(gram).T)
-    S[np.diag_indices_from(S)] += 1.0 / sigma
-    c, low = sla.cho_factor(S, lower=True)
-    pq = jac.extend(sla.cho_solve((c, low), jac.restrict(at_rhs)))
-    return rhs - A.matvec(pq), gram @ pq - at_rhs
-
-
-def _solve_thin(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
-                counter) -> np.ndarray:
-    """h with (I + sigma W W^T) h = rhs for the m x k thin factor W = AP,
-    built by `design_factors` (a row gather of A^T; sparse for a sparse A):
-    - SMW when k < m and k <= DENSE_CAP (exact, cost m k^2);
-    - dense assembly of the m x m matrix when m <= DENSE_CAP;
-    - CG on v + sigma W (W^T v) otherwise (residual target
-      `newton_cg_target(rhs)`, at most NEWTON_CG_ITERS iterations).
-    The direct routes densify a sparse W; CG keeps it sparse.
-    """
+        return rhs.copy(), -A.tmatvec(rhs)
     W = design_factors(jac, A)
     m, k = W.shape
-
     if k <= DENSE_CAP and k < m:
         Wd = W.toarray() if sp.issparse(W) else W
         S = Wd.T @ Wd
         S[np.diag_indices_from(S)] += 1.0 / sigma
         c, low = sla.cho_factor(S, lower=True)
-        return rhs - Wd @ sla.cho_solve((c, low), Wd.T @ rhs)
-    if m <= DENSE_CAP:
+        h = rhs - Wd @ sla.cho_solve((c, low), Wd.T @ rhs)
+    elif m <= DENSE_CAP:
         Wd = W.toarray() if sp.issparse(W) else W
         V = sigma * (Wd @ Wd.T)
         V[np.diag_indices_from(V)] += 1.0
         c, low = sla.cho_factor(V, lower=True)
-        return sla.cho_solve((c, low), rhs)
-
-    def apply(v):
-        if counter is not None:
-            counter[0] += 1
-        return v + sigma * (W @ (W.T @ v))
-
-    return cg_solve(apply, rhs, newton_cg_target(rhs), NEWTON_CG_ITERS)
+        h = sla.cho_solve((c, low), rhs)
+    else:
+        def apply(v):
+            if counter is not None:
+                counter[0] += 1
+            return v + sigma * (W @ (W.T @ v))
+        h = cg_solve(apply, rhs, newton_cg_target(rhs), NEWTON_CG_ITERS)
+    return h, -A.tmatvec(h)
 
 
 class DualSubproblem:
@@ -101,24 +77,14 @@ class DualSubproblem:
 
     with y = x_tilde/sigma - A^T xi (the aux vector `newton` carries) and
     gradient xi + b - sigma A prox_p(y); the conjugate-penalty term
-    vanishes on its domain.  gram (A^T A or None) picks the Newton-system
-    route.  With it, atb = A^T b and the route's right-hand side comes
-    from the n-side: A^T xi = x_tilde/sigma - y, so
-
-        A^T grad = (x_tilde/sigma - y) + A^T b - sigma G prox_p(y),
-
-    and a Newton step does one product with A for the gradient and one
-    in `solve_newton_system`.
+    vanishes on its domain.  A Newton step makes one product with A for
+    the gradient and one with A^T in `solve_newton_system`.
     """
 
-    def __init__(self, data: ProblemData, x_tilde: np.ndarray, sigma: float,
-                 gram: Optional[np.ndarray] = None,
-                 atb: Optional[np.ndarray] = None):
+    def __init__(self, data: ProblemData, x_tilde: np.ndarray, sigma: float):
         self.data = data
         self.pen = data.require_penalties()
         self.sigma = sigma
-        self.gram = gram
-        self.atb = atb
         self.x_over_sigma = x_tilde / sigma
         self.const = -float(x_tilde @ x_tilde) / (2.0 * sigma)
 
@@ -137,13 +103,8 @@ class DualSubproblem:
 
     def direction(self, y, pr, g, counter):
         jac = build_jacobian(pr, self.pen)
-        at_rhs = None
-        if self.gram is not None:
-            at_rhs = ((y - self.x_over_sigma) - self.atb
-                      + self.sigma * (self.gram @ pr.prox))
         return solve_newton_system(jac, self.data.A, self.sigma, -g,
-                                   counter=counter, gram=self.gram,
-                                   at_rhs=at_rhs)
+                                   counter=counter)
 
     def lift(self, h):
         return -self.data.A.tmatvec(h)
@@ -155,33 +116,29 @@ class DualStep:
     inner: inexactly minimize the subproblem in xi (the summable eps_k rule
     combined with the two relative rules), then u <- y - prox_p(y) and
     x <- sigma * prox_p(y) with y = x/sigma - A^T xi.  When the Newton cap
-    runs out first, the xi progress is kept but the multiplier update is
-    skipped and the step reported as rejected, so the outer loop backs
-    sigma off; this keeps the subproblems solvable on badly scaled designs.
+    runs out first, xi is kept but the multiplier update is skipped and
+    the step rejected, so the outer loop backs sigma off.
 
-    sigma0 = SIGMA0_CURVATURE / L with L a 10-step power estimate of
-    lambda_max(A^T A) (1 when A is zero), so the first subproblem's
-    curvature sigma A M A^T has the same size whatever the scale of A and
-    b.  gram is `tall_gram`'s A^T A or None, and atb = A^T b goes with it;
-    on a tall design the power estimate iterates with gram and makes no
-    product with A.
+    The step works on form.data (`SquareRootForm`, built here when not
+    given); the gradient floor 1e-13 (1 + ||b||) comes from data as given.
+    sigma0 = SIGMA0_CURVATURE / L, L a 10-step power estimate of
+    lambda_max(A^T A) (1 for a zero A), fixes the first subproblem's
+    curvature sigma A M A^T whatever the scale of A and b.
 
-    measures makes three products with the design per outer iteration:
-    r = A x - b serves pobj, A^T r eta_kkt, and at_xi = A^T xi eta_d and
-    the next inner solve's start y = x/sigma - A^T xi (xi does not change
-    in between).
+    measures makes three products with the design: r = A x - b for pobj,
+    A^T r for eta_kkt, and at_xi = A^T xi for eta_d and the next inner
+    start y = x/sigma - A^T xi.
     """
 
     z = None
 
-    def __init__(self, data: ProblemData, cfg: SolverConfig):
-        self.data = data
-        self.cfg = cfg
+    def __init__(self, data: ProblemData, cfg: SolverConfig,
+                 form: Optional[SquareRootForm] = None):
         self.floor = 1e-13 * (1.0 + float(np.linalg.norm(data.b)))
-        self.gram = tall_gram(data.A)
-        lip = estimate_lipschitz(data.A, iters=10, gram=self.gram)
+        self.data = data = (form or SquareRootForm(data)).data
+        self.cfg = cfg
+        lip = estimate_lipschitz(data.A, iters=10)
         self.sigma0 = SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
-        self.atb = None if self.gram is None else data.A.tmatvec(data.b)
         self.xi = np.zeros(data.A.m)
         # replaced, never updated; at_xi = A^T xi, zero at xi = 0
         self.u = self.x = self.at_xi = np.zeros(data.A.n)
@@ -189,7 +146,7 @@ class DualStep:
     def inner(self, sigma, k, deadline):
         eps_k, delta_k, deltap_k = tolerances(k)
         sqrt_sigma = np.sqrt(sigma)
-        sub = DualSubproblem(self.data, self.x, sigma, self.gram, self.atb)
+        sub = DualSubproblem(self.data, self.x, sigma)
 
         def stop(gn, _xi, pr):
             if gn <= self.floor:

@@ -8,7 +8,9 @@ augmented Lagrangian in x, solving each subproblem by Newton on
 
 The Newton matrix A^T A + sigma (I - M) + I/sigma lives in R^n, so this
 route is preferred when m >> n.  Its smallest eigenvalue is at least
-1/sigma, so the dense factorization never meets a singular matrix.
+1/sigma, so the dense factorization never meets a singular matrix.  On a
+tall design it runs on the n x n problem (R, c) of `SquareRootForm` and
+forms the Newton matrix from the cached A^T A.
 """
 
 from typing import Optional
@@ -17,8 +19,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .common import (NEWTON_CG_ITERS, SolverConfig, Solution,
-                     augmented_lagrangian, newton, newton_cg_target,
-                     tall_gram, tolerances)
+                     SquareRootForm, augmented_lagrangian, newton,
+                     newton_cg_target, tolerances)
 from .jacobian import ProxJacobian, build_jacobian
 from .linalg import cg_solve
 from .metrics import dual_pair, duality_metrics, eta_kkt, lsq_residual
@@ -76,15 +78,12 @@ class PrimalSubproblem:
 
         1/2||Ax - b||^2 = q + <g, d> + <d, G d>/2,   A^T(Ax - b) = g + G d,
 
-    with q = 1/2||r||^2 and g = A^T r, r = A x_tilde - b.  lsq is (r, g)
-    when the caller already has them (`PrimalStep.measures` forms them at
-    the iterate the next subproblem is centred at), else they take one
-    product with A and one with A^T here.  The aux vector
-    `newton` carries is G d.  The expansion is centred at x_tilde so that
-    its terms shrink with the step instead of cancelling at the scale of
-    A^T b.  `lift` is the one place G is applied: gram (A^T A or None)
-    is the cached matrix on tall designs, else G h takes two products.
-    gram also picks the Newton-system route.
+    with q = 1/2||r||^2 and g = A^T r, r = A x_tilde - b: lsq = (r, g) when
+    the caller has them, else one product with A and one with A^T here.
+    Centred at x_tilde, its terms shrink with the step instead of
+    cancelling at the scale of A^T b.  The aux vector `newton` carries is
+    G d; `lift` applies G, as gram (A^T A or None, which also picks the
+    Newton-system route) or by two products.
     """
 
     def __init__(self, data: ProblemData, x_tilde: np.ndarray,
@@ -135,33 +134,32 @@ class PrimalSubproblem:
 
 
 class PrimalStep:
-    """One outer iteration of the primal augmented Lagrangian.
+    """One outer iteration of the primal augmented Lagrangian on form.data
+    (`SquareRootForm`, built here when not given), whose gram picks the
+    dense Newton route.  sigma0 = max(1, ||b|| / sqrt(m)) and the gradient
+    floor 1e-13 (1 + ||b||) come from data as given.
 
     inner: Newton-solve for x, then z <- prox_{p/sigma}(x - y/sigma) and
-    y <- y - sigma (x - z).  The inner tolerance is proportional to the
-    step size, scaled by eps_k / sigma, but never below EPS sigma ||x||:
-    the rounding level of the gradient's sigma x term, which no step can
-    get under.  The multiplier step is taken even after a capped inner
-    solve, so every step is accepted.
+    y <- y - sigma (x - z), also after a capped inner solve.  The inner
+    tolerance is eps_k / sigma times the step size, but never below
+    EPS sigma ||x||, the rounding level of the gradient's sigma x term.
 
-    measures makes four products with the design per outer iteration and
-    shares each: xi = A z - b and A^T xi give the dual pair u =
-    proj_{dom p*}(-A^T xi) and eta_d; r = A x - b gives pobj, and g = A^T r
-    eta_kkt.  The next subproblem is centred at this x, so (r, g) is also
-    its expansion, kept in lsq until the next inner takes it; only the
-    first subproblem forms its own.  sigma0 = max(1, ||b|| / sqrt(m)).
+    measures makes four products with the design: xi = A z - b and A^T xi
+    give u = proj_{dom p*}(-A^T xi) and eta_d, r = A x - b pobj and
+    g = A^T r eta_kkt; (r, g), kept in lsq, is also the next subproblem's
+    expansion at this x.
     """
 
-    def __init__(self, data: ProblemData, cfg: SolverConfig):
-        A = data.A
-        self.data = data
-        self.cfg = cfg
-        self.floor = 1e-13 * (1.0 + float(np.linalg.norm(data.b)))
-        self.sigma0 = max(1.0, float(np.linalg.norm(data.b)) / np.sqrt(A.m))
-        self.gram = tall_gram(A)
+    def __init__(self, data: ProblemData, cfg: SolverConfig,
+                 form: Optional[SquareRootForm] = None):
+        b_norm = float(np.linalg.norm(data.b))
+        self.floor = 1e-13 * (1.0 + b_norm)
+        self.sigma0 = max(1.0, b_norm / np.sqrt(data.m))
+        form = form or SquareRootForm(data)
+        self.data, self.gram, self.cfg = form.data, form.gram, cfg
         # every iterate is replaced, never updated in place
-        self.x = self.z = self.y = self.u = np.zeros(A.n)
-        self.xi = np.zeros(A.m)
+        self.x = self.z = self.y = self.u = np.zeros(data.n)
+        self.xi = np.zeros(self.data.m)
         self.lsq = None  # (A x - b, A^T(A x - b)) at the current x
 
     def inner(self, sigma, k, deadline):

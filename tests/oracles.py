@@ -5,9 +5,10 @@ the penalty is evaluated by an O(n^2) double loop, the prox by an ADMM on
 the explicit all-pairs difference matrix, the isotone projection by an
 exhaustive active-set QP search, and the prox Jacobian by the dense
 pseudo-inverse formula.  `count_design_products` counts the solvers'
-products with the design.
+products with each design.
 """
 
+import collections
 import itertools
 
 import numpy as np
@@ -175,14 +176,14 @@ def dense_matrix_from_apply(apply, n):
 
 
 def count_design_products(monkeypatch):
-    """Count every DesignMatrix.matvec and tmatvec call (products with the
-    m x n design) from here on; returns the one-element counter list."""
-    counter = [0]
-    for name in ("matvec", "tmatvec"):
+    """Count the DesignMatrix.matvec, tmatvec and gram calls from here on,
+    per design; returns a Counter keyed by the DesignMatrix."""
+    counter = collections.Counter()
+    for name in ("matvec", "tmatvec", "gram"):
         orig = getattr(DesignMatrix, name)
 
-        def counted(self, v, orig=orig):
-            counter[0] += 1
-            return orig(self, v)
+        def counted(self, *args, orig=orig):
+            counter[self] += 1
+            return orig(self, *args)
         monkeypatch.setattr(DesignMatrix, name, counted)
     return counter

@@ -1,17 +1,22 @@
 """Tests for the augmented-Lagrangian outer loop shared by both SSNAL
 solvers, driven by a scripted step so the sigma policy is seen directly,
-and for the starting sigma each formulation's step picks."""
+for the starting sigma each formulation's step picks, and for the n x n
+square-root form both solve on tall designs."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from clusterlasso import common, metrics
 from clusterlasso.common import (CONVERGED, MAX_ITERS, MAX_TIME, SIGMA_MAX,
-                                 SolverConfig, augmented_lagrangian)
+                                 SolverConfig, SquareRootForm,
+                                 augmented_lagrangian)
 from clusterlasso.linalg import DesignMatrix, estimate_lipschitz
 from clusterlasso.problem import ProblemData
 from clusterlasso.prox import Penalties
 from clusterlasso.ssnal_dual import SIGMA0_CURVATURE, DualStep, solve
-from clusterlasso.ssnal_primal import PrimalStep
+from clusterlasso.ssnal_primal import PrimalStep, solve_primal
+from oracles import count_design_products
 
 
 class ScriptedStep:
@@ -40,7 +45,10 @@ class ScriptedStep:
 def _run(script, start=2.0, **cfg):
     step = ScriptedStep(script, start, cfg.pop("converge_at", None))
     cfg.setdefault("max_outer", len(script))
-    sol = augmented_lagrangian(lambda d, c: step, None, SolverConfig(**cfg))
+    # the loop builds a SquareRootForm of its data before the step; a
+    # 2 x 2 problem keeps that form the data as given
+    sol = augmented_lagrangian(lambda *_: step, _data(np.eye(2), np.ones(2)),
+                               SolverConfig(**cfg))
     return sol, [s for s, _ in step.calls], [k for _, k in step.calls]
 
 
@@ -123,3 +131,107 @@ class TestStopsAndCounters:
         assert sol.total_newton_iters == 63
         assert sol.total_cg_iters == 6
         assert [len(r) - 1 for r in sol.newton_residuals] == [10, 50, 3]
+
+
+def _tall(seed, m=40, n=8):
+    rng = np.random.default_rng(seed)
+    return _data(rng.normal(size=(m, n)), rng.normal(size=m))
+
+
+class TestSquareRootForm:
+    def test_objectives_and_dual_point_carry_over(self):
+        data = _tall(4)
+        form = SquareRootForm(data)
+        work = form.data
+        assert work.A.shape == (8, 8) and work.penalties is data.penalties
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x, xi_r = rng.normal(size=8), rng.normal(size=8)
+            xi = form.dual_point(xi_r)
+            assert metrics.primal_objective(x, work) == pytest.approx(
+                metrics.primal_objective(x, data), rel=1e-12)
+            assert metrics.dual_objective(xi_r, work) == pytest.approx(
+                metrics.dual_objective(xi, data), rel=1e-12)
+            np.testing.assert_allclose(work.A.tmatvec(xi_r),
+                                       data.A.tmatvec(xi), rtol=1e-10)
+
+    @pytest.mark.parametrize("m, n", [(31, 8), (40, 8)])
+    def test_keeps_data_unless_tall(self, monkeypatch, m, n):
+        # m < 4n is not tall; a tall design whose Gram matrix has no
+        # Cholesky factor is solved as given
+        data = _tall(6, m, n)
+        if m >= 4 * n:
+            monkeypatch.setattr(common.sla, "cholesky", _not_positive)
+        form = SquareRootForm(data)
+        assert form.data is data
+        assert (form.gram is None) == (m < 4 * n)
+        xi = np.ones(m)
+        assert form.dual_point(xi) is xi
+
+    @pytest.mark.parametrize("solver", [solve, solve_primal],
+                             ids=["dual", "primal"])
+    def test_square_root_solve_matches_solve_as_given(self, monkeypatch,
+                                                      solver):
+        # tol 1e-8: at 1e-9 the dual on (A, b) caps most inner solves, as
+        # its Armijo test reads the rounding of the subproblem's value
+        data = _tall(7)
+        cfg = SolverConfig(tol=1e-8)
+        got = solver(data, cfg)
+        monkeypatch.setattr(common, "tall_gram", lambda A: None)
+        products = count_design_products(monkeypatch)
+        want = solver(data, cfg)
+        assert set(products) == {data.A}
+        assert got.status == want.status == CONVERGED
+        assert got.pobj == pytest.approx(want.pobj, rel=1e-10)
+        np.testing.assert_allclose(got.x, want.x, atol=1e-7)
+        np.testing.assert_allclose(got.xi, want.xi, atol=1e-7)
+
+
+def _not_positive(*args, **kwargs):
+    raise np.linalg.LinAlgError("not positive definite")
+
+
+def _ill_posed(kind):
+    """A 64 x 8 design with a duplicate, a zero or a near-duplicate
+    (1e-7 apart) column.  Column 0 holds +-1, so ||a_0||^2 = 64 and
+    Cholesky of A^T A meets an exact zero pivot at a duplicate of it."""
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(64, 8))
+    A[:, 0] = rng.choice([-1.0, 1.0], size=64)
+    if kind == "duplicate":
+        A[:, 1] = A[:, 0]
+    elif kind == "zero":
+        A[:, 5] = 0.0
+    else:
+        A[:, 1] = A[:, 0] + 1e-7 * rng.normal(size=64)
+    x0 = np.r_[2.0, 2.0, 0.0, 0.0, -1.0, 0.0, 1.0, 1.0]
+    return _data(A, A @ x0 + 0.1 * rng.normal(size=64))
+
+
+class TestSingularGram:
+    """Tall designs whose A^T A is singular or ill-conditioned: both SSNAL
+    solvers converge, by their own measures and by the measures recomputed
+    on (A, b).  A singular A^T A has no Cholesky factor, and the solve
+    then makes every product with A itself."""
+
+    @pytest.mark.parametrize("kind", ["duplicate", "zero", "near"])
+    @pytest.mark.parametrize("solver", [solve, solve_primal],
+                             ids=["dual", "primal"])
+    def test_converges_on_given_data(self, monkeypatch, solver, kind):
+        data = _ill_posed(kind)
+        gram = data.A.toarray().T @ data.A.toarray()
+        if kind == "near":
+            assert np.linalg.cond(gram) > 1e12
+        else:
+            with pytest.raises(np.linalg.LinAlgError):
+                sla.cholesky(gram)
+        products = count_design_products(monkeypatch)
+        sol = solver(data)
+        assert sol.status == CONVERGED
+        pobj, dobj, e_gap, e_d = metrics.duality_metrics(sol.x, sol.xi,
+                                                         sol.u, data)
+        assert max(e_gap, e_d, metrics.eta_kkt(sol.x, data)) <= 1e-6
+        assert pobj == pytest.approx(sol.pobj, rel=1e-9)
+        assert dobj == pytest.approx(sol.dobj, rel=1e-9)
+        if kind != "near":
+            assert set(products) == {data.A}

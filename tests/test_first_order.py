@@ -18,6 +18,7 @@ from clusterlasso.metrics import primal_objective
 from clusterlasso.problem import ProblemData
 from clusterlasso.prox import Penalties, prox_clustered
 from clusterlasso.ssnal_dual import solve as solve_dual
+from oracles import count_design_products
 
 
 def _problem(seed, m=15, n=8, beta=0.3, rho=0.1):
@@ -245,6 +246,26 @@ class TestAdmmDetails:
         # at convergence A^T xi + u ~ 0 and the primal matches the prox
         assert sol.eta_d <= 1e-6
         assert sol.eta_gap <= 1e-6
+
+
+class TestTallDesignProducts:
+    @pytest.mark.parametrize("runner", [apg_solve, p_admm_solve,
+                                        d_admm_solve],
+                             ids=["apg", "admm_p", "admm_d"])
+    def test_fixed_whatever_the_iteration_count(self, monkeypatch, runner):
+        # a baseline holding A^T A and A^T b on a dense tall design forms
+        # the gradient, the power estimate and the stopping check's
+        # A^T(Ax - b) from them; A is touched six times: A^T A, A^T b and
+        # four products for the final dual point and measures
+        data = ROUTE_SHAPES["tall_dense"]()
+        iters = []
+        for tol in (1e-4, 1e-8):
+            products = count_design_products(monkeypatch)
+            sol = runner(data, FirstOrderConfig(tol=tol))
+            assert sol.status == CONVERGED
+            assert products[data.A] == 6
+            iters.append(sol.outer_iters)
+        assert iters[0] < iters[1]
 
 
 class TestOneStep:

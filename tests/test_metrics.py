@@ -112,7 +112,8 @@ class TestDualityMetrics:
 class TestSharedProducts:
     """The SSNAL steps hand the products they share to the measures; at
     every outer iterate the result must equal, bit for bit, what the
-    measures give when they form every product themselves."""
+    measures give when they form every product themselves on the data the
+    step works on (the n x n square-root form on the tall design)."""
 
     @pytest.mark.parametrize("m, n", [(40, 8), (10, 30)], ids=["tall", "wide"])
     @pytest.mark.parametrize("step_cls, solver",
@@ -129,14 +130,16 @@ class TestSharedProducts:
         checked = []
 
         def measured(step):
+            work = step.data
+            assert work.m == (n if m > n else m)
             got = measures(step)
-            assert got == (*duality_metrics(step.x, step.xi, step.u, data),
-                           eta_kkt(step.x, data))
+            assert got == (*duality_metrics(step.x, step.xi, step.u, work),
+                           eta_kkt(step.x, work))
             if isinstance(step, PrimalStep):
                 # the next subproblem's expansion at x_tilde = x
-                shared = PrimalSubproblem(data, step.x, step.y, 2.0,
+                shared = PrimalSubproblem(work, step.x, step.y, 2.0,
                                           step.gram, step.lsq)
-                fresh = PrimalSubproblem(data, step.x, step.y, 2.0, step.gram)
+                fresh = PrimalSubproblem(work, step.x, step.y, 2.0, step.gram)
                 assert shared.q_tilde == fresh.q_tilde
                 assert shared.g_tilde.tobytes() == fresh.g_tilde.tobytes()
             checked.append(got)

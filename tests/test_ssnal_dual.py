@@ -110,21 +110,33 @@ class TestSubproblem:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gram_direction_matches_thin_factor_direction(self, seed):
-        # on the Gram route A^T grad is formed on the n-side from y, A^T b
-        # and G prox; step and lift must match the thin-factor route's
+        # on a tall design the dual runs on the square root R of the Gram
+        # matrix (R^T R = A^T A): at xi_R and xi = A R^{-1}(xi_R + c) - b
+        # the subproblems share y and, up to the offset, the value; the
+        # gradient, Newton step and lift on R map by Q = A R^{-1} to those
+        # of the thin-factor route on A
         rng = np.random.default_rng(seed)
         data = _random_problem(seed, m=30, n=6)
+        form = common.SquareRootForm(data)
+        work = form.data
+        assert work.A.shape == (6, 6)
         x_tilde = rng.normal(size=6)
-        xi = rng.normal(size=30)
-        gram, atb = data.A.gram(), data.A.tmatvec(data.b)
+        xi_r = rng.normal(size=6)
+        xi = form.dual_point(xi_r)
         thin = _subproblem(data, x_tilde, 1.3)
-        tall = DualSubproblem(data, x_tilde, 1.3, gram, atb)
+        root = _subproblem(work, x_tilde, 1.3)
         y = thin.aux(xi)
+        np.testing.assert_allclose(root.aux(xi_r), y, rtol=1e-12, atol=1e-12)
+        assert _value(thin, xi) == pytest.approx(
+            _value(root, xi_r) - work.offset, rel=1e-12)
+        Q = np.linalg.solve(form.factor.T, data.A.toarray().T).T
         g, pr = _grad(thin, xi)
+        g_r, _ = _grad(root, xi_r)
+        np.testing.assert_allclose(Q @ g_r, g, rtol=1e-10, atol=1e-12)
         h, lift = thin.direction(y, pr, g, [0])
-        h_g, lift_g = tall.direction(y, pr, g, [0])
-        np.testing.assert_allclose(h_g, h, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(lift_g, lift, rtol=1e-10, atol=1e-12)
+        h_r, lift_r = root.direction(y, pr, g_r, [0])
+        np.testing.assert_allclose(Q @ h_r, h, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(lift_r, lift, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(lift, thin.lift(h), rtol=1e-12)
 
 
@@ -148,13 +160,6 @@ class TestNewtonSystem:
             got, lift = solve_newton_system(jac, A, sigma, rhs)
             np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
             np.testing.assert_array_equal(lift, -A.tmatvec(got))
-            # the Gram route (Woodbury through the n-side) solves the same
-            # system and returns the lift -A^T h without a product with A^T
-            got, lift = solve_newton_system(jac, A, sigma, rhs, gram=A.gram(),
-                                            at_rhs=A.tmatvec(rhs))
-            np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
-            np.testing.assert_allclose(lift, -A.tmatvec(got), rtol=1e-10,
-                                       atol=1e-14 * np.linalg.norm(rhs))
 
     def test_dense_m_route_on_wide_design(self):
         # k = |free| + pools >= m: the m x m matrix is assembled from W W^T
@@ -177,11 +182,9 @@ class TestNewtonSystem:
         pen = Penalties(10.0, 0.1)
         jac = build_jacobian(prox_clustered(np.full(4, 0.1), pen), pen)
         rhs = np.array([1.0, 2.0, 3.0])
-        for gram, at_rhs in ((None, None), (A.gram(), A.tmatvec(rhs))):
-            h, lift = solve_newton_system(jac, A, 2.0, rhs, gram=gram,
-                                          at_rhs=at_rhs)
-            np.testing.assert_array_equal(h, rhs)
-            np.testing.assert_array_equal(lift, -A.tmatvec(rhs))
+        h, lift = solve_newton_system(jac, A, 2.0, rhs)
+        np.testing.assert_array_equal(h, rhs)
+        np.testing.assert_array_equal(lift, -A.tmatvec(rhs))
 
     def test_cg_route_agrees_with_direct(self, monkeypatch):
         rng = np.random.default_rng(77)
@@ -343,29 +346,21 @@ class TestOuterLoop:
         assert sol.outer_iters == 1
 
     def test_tall_design_products(self, monkeypatch):
-        # Set-up makes one product, A^T b: the power estimate iterates with
-        # the cached A^T A.  An inner solve makes a gradient product at each
-        # of its N_k + 1 iterates and one in each Newton direction whose
-        # Jacobian is not empty; measures makes three (r = A x - b, A^T r,
-        # and A^T xi, which also starts the next inner solve).
+        # On a tall design the solve touches A three times whatever its
+        # outer and Newton counts: A^T A and A^T b to set up the n x n
+        # square-root problem, and the product that maps its dual point
+        # back; every other product is with the n x n factor R.
         data = _random_problem(3, m=40, n=8)
         assert common.tall_gram(data.A) is not None
-        products = count_design_products(monkeypatch)
-        ssnal_dual.DualStep(data, SolverConfig())
-        assert products[0] == 1
-        empty = [0]
-        build = ssnal_dual.build_jacobian
-
-        def counted(pr, pen):
-            jac = build(pr, pen)
-            empty[0] += jac.free_idx.shape[0] + jac.npools == 0
-            return jac
-        monkeypatch.setattr(ssnal_dual, "build_jacobian", counted)
-        products[0] = 0
-        sol = solve(data)
-        assert sol.status == CONVERGED
-        assert products[0] == (1 + 2 * sol.total_newton_iters
-                               + 4 * sol.outer_iters - empty[0])
+        counts = []
+        for tol in (1e-3, 1e-9):
+            products = count_design_products(monkeypatch)
+            sol = solve(data, SolverConfig(tol=tol))
+            assert sol.status == CONVERGED
+            assert products[data.A] == 3
+            assert sum(products.values()) > 3 + sol.total_newton_iters
+            counts.append((sol.outer_iters, sol.total_newton_iters))
+        assert counts[0][0] < counts[1][0] and counts[0][1] < counts[1][1]
 
     def test_sigma_recovery_on_hard_tall_instance(self):
         # On this correlated tall design the x3 sigma growth outruns what

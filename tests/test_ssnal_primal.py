@@ -270,18 +270,21 @@ class TestSolvePrimal:
         assert got.pobj == pytest.approx(want.pobj, rel=1e-10)
 
     def test_tall_design_products_per_outer_iteration(self, monkeypatch):
-        # With A^T A cached the Newton steps (sol.total_newton_iters of
-        # them) make no product with A.  The first subproblem forms r and
-        # g = A^T r at x = 0; each outer iteration makes four: xi = A z - b
-        # and A^T xi (dual pair, eta_d), r = A x - b and A^T r (pobj,
-        # eta_kkt, and the next subproblem's expansion).
+        # No outer iteration and no Newton step touches a tall design: the
+        # solve forms A^T A and A^T b to set up the n x n square-root
+        # problem and makes one product to map its dual point back, three
+        # in all, whatever its outer and Newton counts.
         data = _tall_problem(3, m=40, n=8)
         assert common.tall_gram(data.A) is not None
-        products = count_design_products(monkeypatch)
-        sol = solve_primal(data)
-        assert sol.status == CONVERGED
-        assert sol.total_newton_iters > sol.outer_iters
-        assert products[0] == 2 + 4 * sol.outer_iters
+        counts = []
+        for tol in (1e-3, 1e-9):
+            products = count_design_products(monkeypatch)
+            sol = solve_primal(data, SolverConfig(tol=tol))
+            assert sol.status == CONVERGED
+            assert sol.total_newton_iters > sol.outer_iters
+            assert products[data.A] == 3
+            counts.append((sol.outer_iters, sol.total_newton_iters))
+        assert counts[0][0] < counts[1][0] and counts[0][1] < counts[1][1]
 
     def test_inner_solves_stop_at_the_gradient_rounding_floor(self):
         # At sigma = 1e6 the gradient cannot drop below the rounding of
