@@ -25,11 +25,15 @@ class SsnControls:
     max_newton: int = 50
 
 
-# Armijo rule of the inner line search: accept alpha once the value drops
-# by MU alpha <g, h>, else shrink alpha by LS_SHRINK, at most
-# MAX_LINESEARCH times
+# inner line search of `newton` (safeguarded interpolation, Nocedal &
+# Wright 3.5): Armijo constant, clip of the interpolated step relative to
+# the failed one, shrink when the parabola has no minimizer, rounding
+# level of the subproblem's value relative to |phi|, trial cap
 MU = 1e-4
+LS_CLIP_LOW = 0.1
+LS_CLIP_HIGH = 0.5
 LS_SHRINK = 0.5
+LS_NOISE = 4.0 * np.finfo(np.float64).eps
 MAX_LINESEARCH = 40
 # inexact Newton direction: the linear solve's residual target is
 # min(ETA_BAR, ||rhs||^{1+TAU})
@@ -44,8 +48,8 @@ def newton_cg_target(rhs: np.ndarray) -> float:
 
 
 def newton(sub, v0, stop, max_newton: int, deadline: float, aux0=None):
-    """Inexact semismooth Newton with an Armijo line search on one
-    augmented-Lagrangian subproblem, at most max_newton steps.
+    """Inexact semismooth Newton with a backtracking Armijo line search
+    on one augmented-Lagrangian subproblem, at most max_newton steps.
 
     sub supplies the formulation: aux(v) is the design product carried
     along with the iterate (aux0, when given, is aux(v0), which the caller
@@ -54,9 +58,22 @@ def newton(sub, v0, stop, max_newton: int, deadline: float, aux0=None):
     along h, and direction(aux, pr, g, counter) the Newton step h for -g
     together with lift(h), which a route may get more cheaply than lift
     does (CG iterations added to counter[0]).  stop(gnorm, v, pr) decides
-    sufficiency.  The line search uses MU, LS_SHRINK and MAX_LINESEARCH;
-    the value at the point it moves to, accepted or the last trial when
-    MAX_LINESEARCH runs out, is the next step's phi0.
+    sufficiency.
+
+    The line search tries alpha = 1, then after each failed Armijo trial
+    (MU) the minimizer of the parabola through phi(0), phi'(0) = <g, h>
+    and phi(alpha),
+
+        alpha <- -<g, h> alpha^2 / (2 (phi(alpha) - phi(0) - <g, h> alpha)),
+
+    clipped to [LS_CLIP_LOW alpha, LS_CLIP_HIGH alpha], or LS_SHRINK alpha
+    when the denominator is not positive (after a failed trial, only when
+    phi(alpha) is NaN).  Once the value change and the decrease Armijo
+    asks for are both within LS_NOISE |phi(0)|, phi's rounding, a trial
+    whose gradient norm is below ||g|| is accepted too; that gradient
+    reuses the trial's prox.  The value at the point the search moves to,
+    accepted or the last trial when MAX_LINESEARCH runs out, is the next
+    step's phi0.
 
     Returns (v, aux, pr, residuals, cg_iters, hit_cap); residuals holds the
     gradient norm at every iterate, hit_cap whether max_newton ran out.
@@ -83,6 +100,7 @@ def newton(sub, v0, stop, max_newton: int, deadline: float, aux0=None):
         if phi is None:
             phi = sub.value(v, aux, pr)
         alpha = 1.0
+        noise = LS_NOISE * abs(phi)
         for _ in range(MAX_LINESEARCH):
             v_t = v + alpha * h
             aux_t = aux + alpha * dh
@@ -90,7 +108,15 @@ def newton(sub, v0, stop, max_newton: int, deadline: float, aux0=None):
             phi_t = sub.value(v_t, aux_t, pr_t)
             if phi_t <= phi + MU * alpha * gh:
                 break
-            alpha *= LS_SHRINK
+            if (phi_t - phi <= noise and -MU * alpha * gh <= noise
+                    and np.linalg.norm(sub.grad(v_t, aux_t, pr_t)) < gn):
+                break
+            denom = 2.0 * (phi_t - phi - gh * alpha)
+            if denom > 0.0:
+                alpha = min(max(-gh * alpha * alpha / denom,
+                                LS_CLIP_LOW * alpha), LS_CLIP_HIGH * alpha)
+            else:
+                alpha *= LS_SHRINK
         v, aux, pr, phi = v_t, aux_t, pr_t, phi_t
     residuals.append(float(np.linalg.norm(sub.grad(v, aux, pr))))
     return v, aux, pr, residuals, cg_counter[0], True
@@ -226,8 +252,9 @@ class SolverConfig:
 
     The sigma schedule, the inner tolerance sequences, the line search and
     the Newton-system routes are fixed: they are module constants
-    (`SIGMA_*`, `EPS0`, `DELTA0`, `MU`, `LS_SHRINK`, `MAX_LINESEARCH`,
-    `ETA_BAR`, `TAU`, `DENSE_CAP`, `NEWTON_CG_ITERS`).
+    (`SIGMA_*`, `EPS0`, `DELTA0`, `MU`, `LS_SHRINK`, `LS_CLIP_LOW`,
+    `LS_CLIP_HIGH`, `LS_NOISE`, `MAX_LINESEARCH`, `ETA_BAR`, `TAU`,
+    `DENSE_CAP`, `NEWTON_CG_ITERS`).
     """
 
     tol: float = 1e-6

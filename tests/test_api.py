@@ -58,11 +58,16 @@ def test_estimate_lipschitz_is_one_function():
 
 
 def test_ssn_controls_hold_only_the_step_cap():
-    # the Armijo and inexact-direction constants are module constants of
-    # `common`; perfbench reads SolverConfig().ssn.max_newton
+    # the line-search and inexact-direction constants are module constants
+    # of `common`; perfbench reads SolverConfig().ssn.max_newton
+    from clusterlasso import common
+
     assert {f.name for f in dataclasses.fields(SsnControls)} == {"max_newton"}
-    for gone in ("mu", "eta_bar", "tau", "ls_shrink", "max_linesearch"):
+    for gone in ("mu", "eta_bar", "tau", "ls_shrink", "max_linesearch",
+                 "ls_clip_low", "ls_clip_high", "ls_noise"):
         assert not hasattr(SsnControls(), gone)
+        assert not hasattr(SolverConfig(), gone)
+        assert hasattr(common, gone.upper())
 
 
 def test_linearized_d_admm_is_gone():

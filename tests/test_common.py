@@ -1,16 +1,18 @@
 """Tests for the augmented-Lagrangian outer loop shared by both SSNAL
 solvers, driven by a scripted step so the sigma policy is seen directly,
-for the starting sigma each formulation's step picks, and for the n x n
-square-root form both solve on tall designs."""
+for the starting sigma each formulation's step picks, for the line search
+of the shared Newton loop on one-dimensional subproblems, and for the
+n x n square-root form both solve on tall designs."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from clusterlasso import common, metrics
-from clusterlasso.common import (CONVERGED, MAX_ITERS, MAX_TIME, SIGMA_MAX,
-                                 SolverConfig, SquareRootForm,
-                                 augmented_lagrangian)
+from clusterlasso.common import (CONVERGED, LS_CLIP_HIGH, LS_CLIP_LOW,
+                                 LS_SHRINK, MAX_ITERS, MAX_TIME, MU,
+                                 SIGMA_MAX, SolverConfig, SquareRootForm,
+                                 augmented_lagrangian, newton)
 from clusterlasso.linalg import DesignMatrix, estimate_lipschitz
 from clusterlasso.problem import ProblemData
 from clusterlasso.prox import Penalties
@@ -133,6 +135,164 @@ class TestStopsAndCounters:
         assert [len(r) - 1 for r in sol.newton_residuals] == [10, 50, 3]
 
 
+class Kinked:
+    """phi(v) = (v - 3)^2 / 2 + kink max(v - 1, 0)^2 / 2 in one dimension,
+    the piecewise quadratic a prox makes, with the Newton step of the left
+    piece, so a step across the kink at 1 overshoots; value is NaN above
+    nan_above.  The prox result is the point; log records each Newton
+    step as ("step", v, h, <g, h>) and each value as ("value", v, phi)."""
+
+    def __init__(self, kink, nan_above=np.inf):
+        self.kink, self.nan_above = kink, nan_above
+        self.log = []
+
+    def aux(self, v):
+        return np.zeros(1)
+
+    def lift(self, h):
+        return np.zeros(1)
+
+    def prox(self, v, aux):
+        return v.copy()
+
+    def grad(self, v, aux, pr):
+        return v - 3.0 + self.kink * np.maximum(v - 1.0, 0.0)
+
+    def phi(self, t):
+        if t > self.nan_above:
+            return np.nan
+        return 0.5 * (t - 3.0) ** 2 + 0.5 * self.kink * max(t - 1.0, 0.0) ** 2
+
+    def value(self, v, aux, pr):
+        phi = self.phi(float(v[0]))
+        self.log.append(("value", float(v[0]), phi))
+        return phi
+
+    def direction(self, aux, pr, g, counter):
+        h = -g
+        self.log.append(("step", float(pr[0]), float(h[0]), float(g @ h)))
+        return h, np.zeros(1)
+
+
+def _steps(log):
+    """[(v, h, gh, [(v_t, phi_t), ...]), ...]: each Newton step of a
+    `Kinked` log with its line-search trials (the first step's phi0 is
+    the value logged at its own point)."""
+    steps = []
+    for entry in log:
+        if entry[0] == "step":
+            steps.append((*entry[1:], []))
+        elif steps and entry[1] != steps[-1][0]:
+            steps[-1][3].append(entry[1:])
+    return steps
+
+
+def _next_alpha(alpha, dphi, gh):
+    """The interpolation rule `newton` documents, and which case set it."""
+    denom = 2.0 * (dphi - gh * alpha)
+    if not denom > 0.0:
+        return LS_SHRINK * alpha, "halved"
+    best = -gh * alpha * alpha / denom
+    if best < LS_CLIP_LOW * alpha:
+        return LS_CLIP_LOW * alpha, "low"
+    if best > LS_CLIP_HIGH * alpha:
+        return LS_CLIP_HIGH * alpha, "high"
+    return best, "parabola"
+
+
+class TestLineSearch:
+    """The trial sequence of `newton`'s line search.  From v = 0 the first
+    trial lands at 3 with phi(3) = 2 kink against phi(0) = 4.5 and
+    <g, h> = -9, so the parabola puts the second trial at 9 / (4 kink + 9).
+    The upper clip binds only when a trial lowers phi by less than Armijo
+    asks, here at kink just below 2.25; past nan_above the value is NaN
+    and the step halves."""
+
+    @pytest.mark.parametrize("kink, nan_above, case, second", [
+        (5.0, np.inf, "parabola", 9.0 / 29.0),
+        (2.2499, np.inf, "high", LS_CLIP_HIGH),
+        (40.0, np.inf, "low", LS_CLIP_LOW),
+        (5.0, 2.0, "halved", LS_SHRINK),
+    ])
+    def test_trials_follow_safeguarded_interpolation(self, kink, nan_above,
+                                                     case, second):
+        sub = Kinked(kink, nan_above)
+        v, *_, residuals, _, hit_cap = newton(
+            sub, np.zeros(1), lambda gn, _v, _pr: gn <= 1e-12, 50,
+            deadline=np.inf)
+        assert not hit_cap and residuals[-1] <= 1e-12
+        assert v[0] == pytest.approx((3.0 + kink) / (1.0 + kink), abs=1e-12)
+        steps = _steps(sub.log)
+        assert len(steps) == len(residuals) - 1
+        cases = []
+        for v0, h, gh, trials in steps:
+            phi0 = sub.phi(v0)
+            alpha = 1.0
+            for i, (v_t, phi_t) in enumerate(trials):
+                assert v_t == pytest.approx(v0 + alpha * h, rel=1e-12,
+                                            abs=1e-15)
+                # every trial but the last fails Armijo; the last passes
+                armijo = phi_t <= phi0 + MU * alpha * gh
+                assert armijo == (i == len(trials) - 1)
+                if not armijo:
+                    alpha, how = _next_alpha(alpha, phi_t - phi0, gh)
+                    cases.append(how)
+        assert cases[0] == case
+        first_trials = steps[0][3]
+        assert first_trials[1][0] == pytest.approx(3.0 * second, rel=1e-12)
+
+
+class NoisyQuadratic:
+    """phi(v) = OFFSET + v^2 / 2 with its exact Newton step, read with
+    rounding noise: +eps |phi| at |v| <= 1e-7 and -eps |phi| elsewhere.
+    Near the minimizer the decrease v^2 / 2 is below that noise, so an
+    Armijo test reads the noise."""
+
+    OFFSET = 1e4
+
+    def __init__(self):
+        self.calls = {"prox": 0, "value": 0}
+
+    def aux(self, v):
+        return np.zeros(1)
+
+    def lift(self, h):
+        return np.zeros(1)
+
+    def prox(self, v, aux):
+        self.calls["prox"] += 1
+        return None
+
+    def grad(self, v, aux, pr):
+        return v.copy()
+
+    def value(self, v, aux, pr):
+        self.calls["value"] += 1
+        phi = self.OFFSET + 0.5 * float(v @ v)
+        sign = 1.0 if abs(v[0]) <= 1e-7 else -1.0
+        return phi + sign * np.finfo(np.float64).eps * phi
+
+    def direction(self, aux, pr, g, counter):
+        return -g, np.zeros(1)
+
+
+class TestRoundingGuard:
+    def test_noise_level_step_is_taken_when_gradient_drops(self):
+        # from v = 1e-6 the full Newton step reaches v = 0 and zeroes the
+        # gradient, but phi reads 2 eps |phi| higher there against a true
+        # decrease of 5e-13; Armijo alone rejects it, creeps towards
+        # |v| = 1e-7 and stalls there until the step cap
+        sub = NoisyQuadratic()
+        v, *_, residuals, _, hit_cap = newton(
+            sub, np.full(1, 1e-6), lambda gn, _v, _pr: gn <= 1e-12, 50,
+            deadline=np.inf)
+        assert not hit_cap
+        assert residuals == [1e-6, 0.0]
+        assert v[0] == 0.0
+        # the guard's gradient reuses the trial's prox: one prox per value
+        assert sub.calls == {"prox": 2, "value": 2}
+
+
 def _tall(seed, m=40, n=8):
     rng = np.random.default_rng(seed)
     return _data(rng.normal(size=(m, n)), rng.normal(size=m))
@@ -172,16 +332,17 @@ class TestSquareRootForm:
                              ids=["dual", "primal"])
     def test_square_root_solve_matches_solve_as_given(self, monkeypatch,
                                                       solver):
-        # tol 1e-8: at 1e-9 the dual on (A, b) caps most inner solves, as
-        # its Armijo test reads the rounding of the subproblem's value
         data = _tall(7)
-        cfg = SolverConfig(tol=1e-8)
+        cfg = SolverConfig(tol=1e-9)
         got = solver(data, cfg)
         monkeypatch.setattr(common, "tall_gram", lambda A: None)
         products = count_design_products(monkeypatch)
         want = solver(data, cfg)
         assert set(products) == {data.A}
         assert got.status == want.status == CONVERGED
+        for sol in (got, want):
+            assert all(len(r) - 1 < cfg.ssn.max_newton
+                       for r in sol.newton_residuals)
         assert got.pobj == pytest.approx(want.pobj, rel=1e-10)
         np.testing.assert_allclose(got.x, want.x, atol=1e-7)
         np.testing.assert_allclose(got.xi, want.xi, atol=1e-7)
