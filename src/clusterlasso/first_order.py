@@ -38,8 +38,8 @@ class FirstOrderConfig:
     solves with a Cholesky factor of I + sigma A A^T (of I + sigma A^T A
     when n < m), refactored whenever adaptive_sigma moves sigma; "inexact"
     solves by warm-started CG with a summable tolerance
-    min(0.9^k, 0.1 ||rhs||).  The ADMM step length, starting sigma and CG cap are the module
-    constants KAPPA, SIGMA0 and CG_MAX_ITERS.
+    min(0.9^k, 0.1 ||rhs||).  The ADMM step length, starting sigma and CG
+    cap are the module constants KAPPA, SIGMA0 and CG_MAX_ITERS.
     """
 
     tol: float = 1e-6
@@ -216,7 +216,7 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     z = np.zeros(n) if z0 is None else np.array(z0, dtype=np.float64)
     yv = np.zeros(n) if y0 is None else np.array(y0, dtype=np.float64)
 
-    gram = np.array(A.gram(), dtype=np.float64)
+    gram = A.gram()
     atb = A.tmatvec(b)
 
     def factor(sig):
@@ -259,7 +259,15 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
               x0: Optional[np.ndarray] = None,
               lipschitz: Optional[float] = None) -> Solution:
     """Accelerated proximal gradient with the usual momentum sequence
-    t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2."""
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 and gradient restart.
+
+    Each step takes x+ = prox_{p/L}(w - grad f(w)/L).  When
+    <w - x+, x+ - x> > 0 the momentum points uphill, so the scheme
+    restarts: t <- 1 and w <- x+.  Otherwise
+    w <- x+ + ((t_k - 1)/t_{k+1})(x+ - x).  The restart rule has no
+    parameter (O'Donoghue and Candes, "Adaptive restart for accelerated
+    gradient schemes", Found. Comput. Math. 15, 2015).
+    """
     cfg = cfg or FirstOrderConfig()
     pen = data.require_penalties()
     A, b = data.A, data.b
@@ -291,9 +299,13 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         # prox_{p/L}(w - grad/L) = prox_p(L w - grad) / L by homogeneity
         pr = prox_clustered(L * w - grad, pen)
         x_new = pr.prox / L
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        w = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, t = x_new, t_new
+        if np.dot(w - x_new, x_new - x) > 0.0:
+            t, w = 1.0, x_new
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            w = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            t = t_new
+        x = x_new
 
         status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel,
                                gram, atb)

@@ -185,7 +185,7 @@ def prox_clustered(y: np.ndarray, pen: Penalties) -> ProxResult:
         raise ValueError("y must be nonempty")
     s, perm, part = prox_pairwise(y, pen.rho)
     prox = soft_threshold(s, pen.beta) if pen.beta != 0.0 else s.copy()
-    y_absmax = float(np.max(np.abs(y))) if y.size else 0.0
+    y_absmax = float(np.max(np.abs(y)))
     return ProxResult(prox=prox, s_rho=s, perm=perm, partition=part,
                       y_absmax=y_absmax)
 

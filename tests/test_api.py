@@ -40,6 +40,16 @@ def test_first_order_config_has_no_constant_knobs():
         assert not hasattr(FirstOrderConfig(), gone)
 
 
+def test_apg_restart_is_not_a_setting():
+    # the gradient restart rule has no parameter, so nothing turns it off
+    from clusterlasso.first_order import apg_solve
+
+    fields = {f.name for f in dataclasses.fields(FirstOrderConfig)}
+    params = set(inspect.signature(apg_solve).parameters)
+    assert not [n for n in fields | params if "restart" in n]
+    assert not hasattr(FirstOrderConfig(), "restart")
+
+
 def test_cg_controls_are_gone():
     from clusterlasso import linalg
 

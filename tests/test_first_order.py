@@ -6,6 +6,8 @@ import scipy.sparse as sp
 
 from clusterlasso import first_order
 from clusterlasso.common import CONVERGED
+from clusterlasso.data import (ScenarioSpec, generate_scenario,
+                               penalties_from_alphas)
 from clusterlasso.first_order import (
     FirstOrderConfig,
     apg_solve,
@@ -146,13 +148,53 @@ class TestAgreementWithNewton:
 
 
 class TestApg:
-    def test_momentum_sequence(self):
-        # t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2 from t_1 = 1 gives
-        # t_k >= (k+1)/2, the driver of the O(1/k^2) rate
-        t = 1.0
-        for k in range(1, 50):
-            assert t >= (k + 1) / 2.0
-            t = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+    @pytest.mark.parametrize("lipschitz, restarts", [(1.2, True),
+                                                     (2.0, False)],
+                             ids=["restart", "momentum"])
+    def test_steps_match_the_scheme_written_out(self, lipschitz, restarts):
+        # steps 1 and 2 cannot restart (there w - x+ = -(x+ - x)), and a
+        # restart at step 3 moves only w, so x after step 4 is the first
+        # iterate that shows it.  On an orthonormal design the step 1/L
+        # overshoots at step 3 when L = 1.2 and not when L = 2.
+        rng = np.random.default_rng(0)
+        Q = np.linalg.qr(rng.normal(size=(15, 8)))[0]
+        data = ProblemData(DesignMatrix(Q), rng.normal(size=15),
+                           Penalties(0.3, 0.1))
+        x0 = np.random.default_rng(1).normal(size=8)
+        L = lipschitz
+
+        def step(w):
+            v = L * w - Q.T @ (Q @ w - data.b)
+            return prox_clustered(v, data.penalties).prox / L
+
+        t2 = (1.0 + np.sqrt(5.0)) / 2.0
+        t3 = (1.0 + np.sqrt(1.0 + 4.0 * t2 ** 2)) / 2.0
+        t4 = (1.0 + np.sqrt(1.0 + 4.0 * t3 ** 2)) / 2.0
+        x1 = step(x0)  # t1 = 1: the first momentum weight is 0
+        x2 = step(x1)
+        w = x2 + (t2 - 1.0) / t3 * (x2 - x1)
+        x3 = step(w)
+        assert (np.dot(w - x3, x3 - x2) > 0.0) == restarts
+        after_restart = step(x3)
+        after_momentum = step(x3 + (t3 - 1.0) / t4 * (x3 - x2))
+        assert np.abs(after_restart - after_momentum).max() > 1e-4
+        sol = apg_solve(data, FirstOrderConfig(max_iters=4, tol=0.0),
+                        x0=x0, lipschitz=L)
+        np.testing.assert_allclose(
+            sol.x, after_restart if restarts else after_momentum,
+            rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_shape_converges_within_1000_steps(self, seed):
+        # the first_order benchmark's instance shape and stopping rule;
+        # without the restart APG needs about 3400 steps here
+        problem = generate_scenario(
+            ScenarioSpec(7, 5, seed, m_override=1000)).data
+        problem = problem.with_penalties(
+            penalties_from_alphas(1e-3, 1e-3, problem))
+        sol = apg_solve(problem, FirstOrderConfig(tol=1e-5, check_every=10,
+                                                  max_iters=1000))
+        assert sol.status == CONVERGED
 
     def test_objective_trace_recorded(self):
         data = _problem(4)
