@@ -7,9 +7,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
-from .linalg import DesignMatrix
+from .linalg import DesignMatrix, cholesky, solve_lower
 from .problem import ProblemData
 
 CONVERGED = "converged"
@@ -23,6 +22,10 @@ class SsnControls:
     constants are the module constants below."""
 
     max_newton: int = 50
+
+    def __post_init__(self):
+        if self.max_newton < 1:
+            raise ValueError("max_newton must be >= 1")
 
 
 # inner line search of `newton` (safeguarded interpolation, Nocedal &
@@ -166,11 +169,10 @@ class SquareRootForm:
         if self.gram is None:
             return
         try:
-            self.factor = sla.cholesky(self.gram)
+            self.factor = cholesky(self.gram).T
         except np.linalg.LinAlgError:
             return
-        c = sla.solve_triangular(self.factor, data.A.tmatvec(data.b),
-                                 trans="T")
+        c = solve_lower(self.factor.T, data.A.tmatvec(data.b))
         kappa = 0.5 * (float(data.b @ data.b) - float(c @ c))
         self.data = ProblemData(DesignMatrix(self.factor), c, data.penalties,
                                 data.offset + kappa)
@@ -182,7 +184,7 @@ class SquareRootForm:
             return xi
         src = self.source
         return src.A.matvec(
-            sla.solve_triangular(self.factor, xi + self.data.b)) - src.b
+            solve_lower(self.factor.T, xi + self.data.b, trans=True)) - src.b
 
 
 def augmented_lagrangian(make_step, data, cfg) -> "Solution":

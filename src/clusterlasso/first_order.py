@@ -9,11 +9,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .common import CONVERGED, MAX_ITERS, MAX_TIME, Solution
-from .linalg import cg_solve, estimate_lipschitz
+from .linalg import cg_solve, cho_solve, cholesky, estimate_lipschitz
 from .metrics import (dual_pair, duality_metrics, eta_kkt, eta_rel,
                       lsq_residual, primal_objective)
 from .problem import ProblemData
@@ -140,13 +139,7 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
             gram = A.raw @ A.raw.T
             if sp.issparse(gram):
                 gram = np.asarray(gram.todense())
-
-        def factor(sig):
-            V = sig * gram
-            V[np.diag_indices_from(V)] += 1.0
-            return sla.cho_factor(V, lower=True)
-
-        chol = factor(sigma)
+        chol = cholesky(sigma * gram, 1.0)
 
     cg_count = [0]
 
@@ -161,12 +154,12 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     for it in range(1, cfg.max_iters + 1):
         if gram_side:
             w = x - sigma * u
-            at_xi = sla.cho_solve(chol, gram @ w - atb)
+            at_xi = cho_solve(chol, gram @ w - atb)
             xi_arg = w - sigma * at_xi
         else:
             rhs = -b + A.matvec(x - sigma * u)
             if cfg.variant == "exact":
-                xi = sla.cho_solve(chol, rhs)
+                xi = cho_solve(chol, rhs)
             else:
                 tol_k = min(0.9 ** it, 0.1 * float(np.linalg.norm(rhs)))
                 xi = cg_solve(apply, rhs, max(tol_k, 1e-14), CG_MAX_ITERS,
@@ -183,7 +176,7 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
             if scale != 1.0:
                 sigma *= scale
                 if cfg.variant == "exact":
-                    chol = factor(sigma)
+                    chol = cholesky(sigma * gram, 1.0)
         u_prev = u
 
         status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel,
@@ -218,13 +211,7 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
 
     gram = A.gram()
     atb = A.tmatvec(b)
-
-    def factor(sig):
-        G = gram.copy()
-        G[np.diag_indices_from(G)] += sig
-        return sla.cho_factor(G, lower=True)
-
-    chol = factor(sigma)
+    chol = cholesky(gram.copy(), sigma)
 
     trace = [] if cfg.track_objective else None
     status = e_rel = None
@@ -232,7 +219,7 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     z_prev = z.copy()
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        x = sla.cho_solve(chol, atb + sigma * z + yv)
+        x = cho_solve(chol, atb + sigma * z + yv)
         pr = prox_clustered(sigma * x - yv, pen)
         z = pr.prox / sigma
         yv = yv - KAPPA * sigma * (x - z)
@@ -242,7 +229,7 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
                                  sigma * float(np.linalg.norm(z - z_prev)))
             if scale != 1.0:
                 sigma *= scale
-                chol = factor(sigma)
+                chol = cholesky(gram.copy(), sigma)
         z_prev = z
 
         status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel,

@@ -7,6 +7,7 @@ gathers rows), sparse data as CSR with sorted indices.
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 
 class MaxItersExceeded(RuntimeError):
@@ -132,3 +133,24 @@ def estimate_lipschitz(A, iters: int = 100, gram=None) -> float:
         lam = float(v @ w)
         v = w / nw
     return 1.01 * lam
+
+
+def cholesky(M: np.ndarray, shift=0.0) -> np.ndarray:
+    """Lower Cholesky factor L of M + diag(shift), C-ordered, for a scalar
+    or n-vector shift added to M's diagonal in place; LinAlgError unless
+    positive definite.  numpy makes it in the BLAS pool of the products
+    around it.  scipy's own OpenBLAS pool would contend with that one, so
+    scipy runs only the one-vector triangular solves below, on L.T, which
+    is Fortran-ordered and so passes without a copy."""
+    M[np.diag_indices_from(M)] += shift
+    return np.linalg.cholesky(M)
+
+
+def solve_lower(L: np.ndarray, rhs: np.ndarray, trans: bool = False):
+    """Solve L x = rhs, or L^T x = rhs when trans, for L from `cholesky`."""
+    return lapack.dtrtrs(L.T, rhs, trans=0 if trans else 1)[0]
+
+
+def cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = rhs for L from `cholesky`."""
+    return lapack.dpotrs(L.T, rhs)[0]

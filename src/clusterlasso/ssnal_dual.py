@@ -14,14 +14,13 @@ it runs on the n x n problem (R, c) of `SquareRootForm`, where W = RP.
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .common import (DENSE_CAP, NEWTON_CG_ITERS, SolverConfig, Solution,
                      SquareRootForm, augmented_lagrangian, newton,
                      newton_cg_target, tolerances)
 from .jacobian import ProxJacobian, build_jacobian, design_factors
-from .linalg import cg_solve, estimate_lipschitz
+from .linalg import cg_solve, cho_solve, cholesky, estimate_lipschitz
 from .metrics import duality_metrics, eta_kkt, lsq_residual
 from .problem import ProblemData
 from .prox import prox_clustered
@@ -37,29 +36,24 @@ def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
     returns (h, -A^T h), the step and the change of y = x/sigma - A^T xi.
 
     With M = P P^T the matrix is I + sigma W W^T for the m x k thin factor
-    W = AP from `design_factors` (k = |free| + pools; h = rhs when k = 0),
-    solved by SMW when k < m and k <= DENSE_CAP (cost m k^2), else by a
-    dense m x m factorization when m <= DENSE_CAP, else by CG on
-    v + sigma W (W^T v) to `newton_cg_target(rhs)` in at most
-    NEWTON_CG_ITERS iterations.  The direct routes densify a sparse W; CG
-    keeps it sparse.
+    W = AP from `design_factors` (k = |free| + pools; h = rhs when k = 0).
+    When min(k, m) <= DENSE_CAP it is solved by a Cholesky factor of the
+    smaller side: by SMW through W^T W + I/sigma when k < m (cost m k^2),
+    else of the m x m matrix itself.  Otherwise by CG on v + sigma W (W^T v)
+    to `newton_cg_target(rhs)` in at most NEWTON_CG_ITERS iterations.  The
+    direct routes densify a sparse W; CG keeps it sparse.
     """
     if jac.free_idx.shape[0] + jac.npools == 0:
         return rhs.copy(), -A.tmatvec(rhs)
     W = design_factors(jac, A)
     m, k = W.shape
-    if k <= DENSE_CAP and k < m:
+    if min(k, m) <= DENSE_CAP:
         Wd = W.toarray() if sp.issparse(W) else W
-        S = Wd.T @ Wd
-        S[np.diag_indices_from(S)] += 1.0 / sigma
-        c, low = sla.cho_factor(S, lower=True)
-        h = rhs - Wd @ sla.cho_solve((c, low), Wd.T @ rhs)
-    elif m <= DENSE_CAP:
-        Wd = W.toarray() if sp.issparse(W) else W
-        V = sigma * (Wd @ Wd.T)
-        V[np.diag_indices_from(V)] += 1.0
-        c, low = sla.cho_factor(V, lower=True)
-        h = sla.cho_solve((c, low), rhs)
+        if k < m:
+            L = cholesky(Wd.T @ Wd, 1.0 / sigma)
+            h = rhs - Wd @ cho_solve(L, Wd.T @ rhs)
+        else:
+            h = cho_solve(cholesky(sigma * (Wd @ Wd.T), 1.0), rhs)
     else:
         def apply(v):
             if counter is not None:

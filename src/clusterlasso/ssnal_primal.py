@@ -16,13 +16,12 @@ forms the Newton matrix from the cached A^T A.
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .common import (NEWTON_CG_ITERS, SolverConfig, Solution,
                      SquareRootForm, augmented_lagrangian, newton,
                      newton_cg_target, tolerances)
 from .jacobian import ProxJacobian, build_jacobian
-from .linalg import cg_solve
+from .linalg import cg_solve, cho_solve, cholesky
 from .metrics import dual_pair, duality_metrics, eta_kkt, lsq_residual
 from .problem import ProblemData
 from .prox import penalty_value, prox_clustered
@@ -41,21 +40,17 @@ def solve_newton_system_primal(jac: ProxJacobian, A, sigma: float,
     Otherwise CG with the structured matvec to the residual target
     `newton_cg_target(rhs)`, at most NEWTON_CG_ITERS iterations.
     """
-    n = jac.n
     if gram is not None:
         U = np.array(gram, dtype=np.float64)
-        # add sigma (I - M) diagonally without cancellation: free
-        # coordinates get 0, everything else sigma, pools then subtract
-        # their sigma/size share
-        diag_add = np.full(n, sigma)
-        diag_add[jac.free_idx] = 0.0
-        U[np.diag_indices_from(U)] += diag_add + 1.0 / sigma
+        # sigma (I - M) without cancellation: pools subtract sigma/size,
+        # the diagonal adds sigma off the free coordinates
         for t in range(jac.npools):
             lo = jac.pool_offsets[t]
             idx = jac.pool_idx[lo:lo + jac.pool_sizes[t]]
             U[np.ix_(idx, idx)] -= sigma / jac.pool_sizes[t]
-        c, low = sla.cho_factor(U, lower=True)
-        return sla.cho_solve((c, low), rhs)
+        diag_add = np.full(jac.n, sigma + 1.0 / sigma)
+        diag_add[jac.free_idx] = 1.0 / sigma
+        return cho_solve(cholesky(U, diag_add), rhs)
 
     def apply(v):
         if counter is not None:

@@ -80,6 +80,14 @@ def test_ssn_controls_hold_only_the_step_cap():
         assert hasattr(common, gone.upper())
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_ssn_controls_reject_a_cap_below_one(cap):
+    # without a Newton step no inner solve can move its iterate, and the
+    # outer loop would run to max_outer
+    with pytest.raises(ValueError, match="max_newton"):
+        SsnControls(max_newton=cap)
+
+
 def test_linearized_d_admm_is_gone():
     with pytest.raises(ValueError):
         FirstOrderConfig(variant="linearized")

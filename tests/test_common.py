@@ -321,7 +321,7 @@ class TestSquareRootForm:
         # Cholesky factor is solved as given
         data = _tall(6, m, n)
         if m >= 4 * n:
-            monkeypatch.setattr(common.sla, "cholesky", _not_positive)
+            monkeypatch.setattr(common, "cholesky", _not_positive)
         form = SquareRootForm(data)
         assert form.data is data
         assert (form.gram is None) == (m < 4 * n)

@@ -1,14 +1,35 @@
-"""Tests for the design-matrix wrapper and CG."""
+"""Tests for the design-matrix wrapper, CG and the dense SPD helpers, and
+that every dense SPD solve of the solvers goes through those helpers."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
+import clusterlasso
+from clusterlasso.common import CONVERGED, SquareRootForm
+from clusterlasso.first_order import (FirstOrderConfig, d_admm_solve,
+                                      p_admm_solve)
+from clusterlasso.jacobian import build_jacobian
 from clusterlasso.linalg import (
     DesignMatrix,
     MaxItersExceeded,
     cg_solve,
+    cho_solve,
+    cholesky,
+    solve_lower,
 )
+from clusterlasso.problem import ProblemData
+from clusterlasso.prox import Penalties, prox_clustered
+from clusterlasso.ssnal_dual import solve, solve_newton_system
+from clusterlasso.ssnal_primal import solve_newton_system_primal
+from oracles import dense_matrix_from_apply
 
 
 def _random_spd(rng, n, cond=10.0):
@@ -132,3 +153,134 @@ class TestCgSolve:
         x = cg_solve(lambda v: H @ v, rhs, 1e-3, 500)
         assert np.linalg.norm(H @ x - rhs) <= 1e-3
 
+
+class TestCholesky:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solves_match_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        H = _random_spd(rng, n, cond=1e3)
+        shift = rng.uniform(0.0, 2.0, size=n) if seed % 2 else 0.5
+        rhs = rng.normal(size=n)
+        M = H.copy()
+        L = cholesky(M, shift)
+        want = H + np.diag(np.broadcast_to(shift, n))
+        # the shift lands on M's diagonal in place
+        np.testing.assert_array_equal(M, want)
+        np.testing.assert_array_equal(L, np.tril(L))
+        np.testing.assert_allclose(L @ L.T, want, rtol=1e-12, atol=1e-10)
+        np.testing.assert_allclose(cho_solve(L, rhs),
+                                   np.linalg.solve(want, rhs), rtol=1e-9)
+        np.testing.assert_allclose(solve_lower(L, rhs),
+                                   np.linalg.solve(L, rhs), rtol=1e-9)
+        np.testing.assert_allclose(solve_lower(L, rhs, trans=True),
+                                   np.linalg.solve(L.T, rhs), rtol=1e-9)
+
+    def test_raises_unless_positive_definite(self):
+        rng = np.random.default_rng(3)
+        H = _random_spd(rng, 8)
+        indefinite = H - 2.0 * np.eye(8)
+        assert np.linalg.eigvalsh(indefinite).min() < 0
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(indefinite)
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(H.copy(), -2.0)
+        # semidefinite: an exact zero pivot
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(np.ones((3, 3)))
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("scipy.linalg factor or solve called")
+
+
+class TestOneBlasPool:
+    """numpy and scipy load separate BLAS thread pools.  The solvers make
+    their dense SPD factors in numpy, through `linalg.cholesky`, and leave
+    scipy only the one-right-hand-side triangular solves."""
+
+    def test_only_linalg_holds_scipy_linalg(self):
+        code = textwrap.dedent("""
+            import importlib, pkgutil, sys, types
+            import clusterlasso
+            for info in pkgutil.iter_modules(clusterlasso.__path__):
+                importlib.import_module("clusterlasso." + info.name)
+
+            def from_scipy_linalg(obj):
+                if type(obj).__name__ == "fortran":  # a LAPACK/BLAS wrapper
+                    return True
+                name = (obj.__name__ if isinstance(obj, types.ModuleType)
+                        else getattr(obj, "__module__", None))
+                return isinstance(name, str) and name.startswith("scipy.linalg")
+
+            print(*sorted(name for name, mod in list(sys.modules.items())
+                          if name.startswith("clusterlasso")
+                          and any(map(from_scipy_linalg, vars(mod).values()))))
+        """)
+        src = str(Path(clusterlasso.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["clusterlasso.linalg"]
+
+    @pytest.fixture
+    def no_scipy_factor(self, monkeypatch):
+        for name in ("cho_factor", "cho_solve", "cholesky",
+                     "solve_triangular"):
+            monkeypatch.setattr(scipy.linalg, name, _raise)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", _raise)
+
+    @pytest.mark.parametrize("m, n", [(20, 8), (4, 12)],
+                             ids=["smw", "dense_m"])
+    def test_dual_routes(self, no_scipy_factor, m, n):
+        rng = np.random.default_rng(m)
+        Ad = rng.normal(size=(m, n))
+        y = np.r_[np.arange(1.0, n - 3.0), 10.0, 10.0, -10.0, -10.0]
+        pen = Penalties(0.05, 0.01)
+        jac = build_jacobian(prox_clustered(y, pen), pen)
+        # k = |free| + pools picks SMW below m, the m x m factor from m on
+        assert (jac.free_idx.shape[0] + jac.npools < m) == (m > n)
+        M = dense_matrix_from_apply(jac.apply, n)
+        rhs = rng.normal(size=m)
+        got, _ = solve_newton_system(jac, DesignMatrix(Ad), 2.0, rhs)
+        np.testing.assert_allclose(
+            got, np.linalg.solve(np.eye(m) + 2.0 * Ad @ M @ Ad.T, rhs),
+            rtol=1e-9, atol=1e-12)
+
+    def test_primal_dense_route(self, no_scipy_factor):
+        rng = np.random.default_rng(5)
+        A = DesignMatrix(rng.normal(size=(30, 10)))
+        y = np.r_[np.arange(1.0, 7.0), 10.0, 10.0, -10.0, -10.0]
+        pen = Penalties(0.05, 0.01)
+        jac = build_jacobian(prox_clustered(y, pen), pen)
+        assert jac.npools > 0
+        M = dense_matrix_from_apply(jac.apply, 10)
+        H = A.gram() + 3.0 * (np.eye(10) - M) + np.eye(10) / 3.0
+        rhs = rng.normal(size=10)
+        got = solve_newton_system_primal(jac, A, 3.0, rhs, gram=A.gram())
+        np.testing.assert_allclose(got, np.linalg.solve(H, rhs), rtol=1e-9)
+
+    def test_square_root_form_and_admms(self, no_scipy_factor):
+        rng = np.random.default_rng(6)
+        pen = Penalties(0.1, 0.01)
+        tall = ProblemData(DesignMatrix(rng.normal(size=(40, 8))),
+                           rng.normal(size=40), pen)
+        form = SquareRootForm(tall)
+        assert form.factor is not None
+        R = form.factor
+        np.testing.assert_allclose(R.T @ R, form.gram, rtol=1e-12)
+        np.testing.assert_allclose(R.T @ form.data.b, tall.A.tmatvec(tall.b))
+        xi = rng.normal(size=8)
+        np.testing.assert_allclose(
+            tall.A.tmatvec(form.dual_point(xi)), R.T @ xi, atol=1e-10)
+        wide = ProblemData(DesignMatrix(rng.normal(size=(12, 30))),
+                           rng.normal(size=12), pen)
+        cfg = FirstOrderConfig(tol=1e-8, adaptive_sigma=True)
+        for data in (tall, wide):
+            ref = solve(data).pobj
+            # d-ADMM factors the n x n side on the tall design
+            for sol in (p_admm_solve(data, cfg), d_admm_solve(data, cfg)):
+                assert sol.status == CONVERGED
+                assert sol.pobj == pytest.approx(ref, rel=1e-5)
