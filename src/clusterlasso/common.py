@@ -50,13 +50,12 @@ def newton_cg_target(rhs: np.ndarray) -> float:
     return min(ETA_BAR, float(np.linalg.norm(rhs)) ** (1.0 + TAU))
 
 
-def newton(sub, v0, stop, max_newton: int, deadline: float, aux0=None):
+def newton(sub, v0, stop, max_newton: int, deadline: float):
     """Inexact semismooth Newton with a backtracking Armijo line search
     on one augmented-Lagrangian subproblem, at most max_newton steps.
 
     sub supplies the formulation: aux(v) is the design product carried
-    along with the iterate (aux0, when given, is aux(v0), which the caller
-    may already hold), prox(v, aux) the prox result at v, grad and
+    along with the iterate, prox(v, aux) the prox result at v, grad and
     value the subproblem's gradient and value, lift(h) the change of aux
     along h, and direction(aux, pr, g, counter) the Newton step h for -g
     together with lift(h), which a route may get more cheaply than lift
@@ -82,7 +81,7 @@ def newton(sub, v0, stop, max_newton: int, deadline: float, aux0=None):
     gradient norm at every iterate, hit_cap whether max_newton ran out.
     """
     v = np.array(v0, dtype=np.float64)
-    aux = sub.aux(v) if aux0 is None else aux0
+    aux = sub.aux(v)
     pr = sub.prox(v, aux)
     phi = None
     residuals = []
@@ -276,8 +275,7 @@ class Solution:
     """Solver output: primal/dual iterates, optimality measures, counters.
 
     newton_residuals holds one list of inner gradient norms per outer
-    iteration (Newton solvers only); obj_trace is (iteration, objective)
-    pairs when objective tracking was requested.
+    iteration (Newton solvers only).
     """
 
     x: np.ndarray
@@ -296,7 +294,6 @@ class Solution:
     z: Optional[np.ndarray] = None
     eta_rel: Optional[float] = None
     newton_residuals: List[List[float]] = field(default_factory=list)
-    obj_trace: Optional[List[tuple]] = None
 
     @property
     def max_eta(self) -> float:

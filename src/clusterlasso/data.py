@@ -32,7 +32,8 @@ def read_libsvm(path):
     """Read `label idx:val ...` lines (1-based indices) into (A, b).
 
     A is a sparse CSR DesignMatrix with n = the largest index seen; rows
-    with no features are allowed (all-zero rows).
+    with no features are allowed (all-zero rows).  Indices within a row may
+    come in any order but not twice.
     """
     labels = []
     indptr = [0]
@@ -48,6 +49,7 @@ def read_libsvm(path):
                 labels.append(float(toks[0]))
             except ValueError:
                 raise LibsvmParseError("bad label", line_no, toks[0]) from None
+            seen = set()
             for tok in toks[1:]:
                 idx, sep, val = tok.partition(":")
                 if not sep:
@@ -60,6 +62,9 @@ def read_libsvm(path):
                                            tok) from None
                 if j < 1:
                     raise LibsvmParseError("indices are 1-based", line_no, tok)
+                if j in seen:
+                    raise LibsvmParseError("repeated index", line_no, tok)
+                seen.add(j)
                 indices.append(j - 1)
                 values.append(v)
                 n = max(n, j)

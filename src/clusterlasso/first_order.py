@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from .common import CONVERGED, MAX_ITERS, MAX_TIME, Solution
 from .linalg import cg_solve, cho_solve, cholesky, estimate_lipschitz
 from .metrics import (dual_pair, duality_metrics, eta_kkt, eta_rel,
-                      lsq_residual, primal_objective)
+                      primal_objective)
 from .problem import ProblemData
 from .prox import prox_clustered
 
@@ -47,7 +47,6 @@ class FirstOrderConfig:
     max_time: float = 10800.0
     variant: str = "exact"
     adaptive_sigma: bool = False
-    track_objective: bool = False
     check_every: int = 1
 
     def __post_init__(self):
@@ -57,34 +56,26 @@ class FirstOrderConfig:
             raise ValueError("max_iters and check_every must be >= 1")
 
 
-def _finish(x, xi, u, data, status, iters, t0, e_rel, trace, z=None,
-            cg_iters=0, at_xi=None):
-    """The baselines' Solution; r = Ax - b serves pobj and A^T r eta_kkt,
-    and at_xi = A^T xi, which `dual_pair` gives, eta_d."""
-    r, g = lsq_residual(x, data)
-    pobj, dobj, e_gap, e_d = duality_metrics(x, xi, u, data, r, at_xi)
+def _finish(x, xi, u, data, status, iters, t0, e_rel, z=None, cg_iters=0):
+    """The baselines' Solution."""
+    pobj, dobj, e_gap, e_d = duality_metrics(x, xi, u, data)
     return Solution(
         x=x, xi=xi, u=u, pobj=pobj, dobj=dobj, eta_gap=e_gap, eta_d=e_d,
-        eta_kkt=eta_kkt(x, data, g), status=status or MAX_ITERS,
+        eta_kkt=eta_kkt(x, data), status=status or MAX_ITERS,
         outer_iters=iters, total_cg_iters=cg_iters,
-        wall_time=time.perf_counter() - t0, z=z, eta_rel=e_rel,
-        obj_trace=trace)
+        wall_time=time.perf_counter() - t0, z=z, eta_rel=e_rel)
 
 
-def _check(cfg, data, x, it, trace, deadline, e_rel, gram=None, atb=None):
-    """Loop tail shared by the baselines: objective trace, the configured
-    stopping rule every check_every iterations, then the deadline.  A
-    solver holding gram = A^T A and atb = A^T b passes them for eta_kkt.
+def _check(cfg, data, x, it, deadline, e_rel, gram=None, atb=None):
+    """Loop tail shared by the baselines: the configured stopping rule
+    every check_every iterations, then the deadline.  A solver holding
+    gram = A^T A and atb = A^T b passes them for eta_kkt.
 
     Returns (status, eta_rel): status is None while the loop goes on.
     """
-    if trace is not None:
-        trace.append((it, primal_objective(x, data)))
     if it % cfg.check_every == 0:
         if cfg.ref_pobj is not None:
-            pobj = (trace[-1][1] if trace is not None
-                    else primal_objective(x, data))
-            e_rel = eta_rel(pobj, cfg.ref_pobj)
+            e_rel = eta_rel(primal_objective(x, data), cfg.ref_pobj)
             if e_rel <= cfg.tol:
                 return CONVERGED, e_rel
         elif eta_kkt(x, data,
@@ -147,7 +138,6 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
         cg_count[0] += 1
         return v + sigma * A.matvec(A.tmatvec(v))
 
-    trace = [] if cfg.track_objective else None
     status = e_rel = None
     u_prev = u.copy()
     it = 0
@@ -179,14 +169,14 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
                     chol = cholesky(sigma * gram, 1.0)
         u_prev = u
 
-        status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel,
+        status, e_rel = _check(cfg, data, x, it, deadline, e_rel,
                                *((gram, atb) if gram_side else ()))
         if status:
             break
 
     if gram_side:
         xi = A.matvec(xi_arg) - b
-    return _finish(x, xi, u, data, status, it, t0, e_rel, trace,
+    return _finish(x, xi, u, data, status, it, t0, e_rel,
                    cg_iters=cg_count[0])
 
 
@@ -213,7 +203,6 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     atb = A.tmatvec(b)
     chol = cholesky(gram.copy(), sigma)
 
-    trace = [] if cfg.track_objective else None
     status = e_rel = None
     x = np.zeros(n)
     z_prev = z.copy()
@@ -232,14 +221,12 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
                 chol = cholesky(gram.copy(), sigma)
         z_prev = z
 
-        status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel,
-                               gram, atb)
+        status, e_rel = _check(cfg, data, x, it, deadline, e_rel, gram, atb)
         if status:
             break
 
-    xi, u, at_xi = dual_pair(z, data)
-    return _finish(x, xi, u, data, status, it, t0, e_rel, trace, z=z,
-                   at_xi=at_xi)
+    xi, u = dual_pair(z, data)
+    return _finish(x, xi, u, data, status, it, t0, e_rel, z=z)
 
 
 def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
@@ -275,7 +262,6 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     w = x.copy()
     t = 1.0
 
-    trace = [] if cfg.track_objective else None
     status = e_rel = None
     it = 0
     for it in range(1, cfg.max_iters + 1):
@@ -294,11 +280,9 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
             t = t_new
         x = x_new
 
-        status, e_rel = _check(cfg, data, x, it, trace, deadline, e_rel,
-                               gram, atb)
+        status, e_rel = _check(cfg, data, x, it, deadline, e_rel, gram, atb)
         if status:
             break
 
-    xi, u, at_xi = dual_pair(x, data)
-    return _finish(x, xi, u, data, status, it, t0, e_rel, trace,
-                   at_xi=at_xi)
+    xi, u = dual_pair(x, data)
+    return _finish(x, xi, u, data, status, it, t0, e_rel)

@@ -1,9 +1,7 @@
 """Optimality measures and sparsity summaries reported by every solver.
 
-The measures take the design products a solver already holds: r = Ax - b
-(`lsq_residual`) for the primal objective, g = A^T r for eta_kkt and A^T xi
-for eta_d.  Each one left out is formed here, so a call without them
-gives the same bytes as one with them.
+Each measure forms its own products with the design, except that eta_kkt
+takes g = A^T(Ax - b) from a solver that holds A^T A and A^T b.
 """
 
 from typing import Optional
@@ -20,10 +18,8 @@ def lsq_residual(x: np.ndarray, data: ProblemData):
     return r, data.A.tmatvec(r)
 
 
-def primal_objective(x: np.ndarray, data: ProblemData,
-                     r: Optional[np.ndarray] = None) -> float:
-    if r is None:
-        r = data.A.matvec(x) - data.b
+def primal_objective(x: np.ndarray, data: ProblemData) -> float:
+    r = data.A.matvec(x) - data.b
     return (0.5 * float(r @ r) + data.offset
             + penalty_value(x, data.require_penalties()))
 
@@ -44,28 +40,22 @@ def eta_kkt(x: np.ndarray, data: ProblemData,
 
 
 def duality_metrics(x: np.ndarray, xi: np.ndarray, u: np.ndarray,
-                    data: ProblemData, r: Optional[np.ndarray] = None,
-                    at_xi: Optional[np.ndarray] = None):
-    """Returns (pobj, dobj, eta_gap, eta_d); r = Ax - b and at_xi = A^T xi
-    when the caller has them."""
-    pobj = primal_objective(x, data, r)
+                    data: ProblemData):
+    """Returns (pobj, dobj, eta_gap, eta_d)."""
+    pobj = primal_objective(x, data)
     dobj = dual_objective(xi, data)
     eta_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    if at_xi is None:
-        at_xi = data.A.tmatvec(xi)
-    feas = at_xi + u
+    feas = data.A.tmatvec(xi) + u
     eta_d = float(np.linalg.norm(feas)) / (1.0 + float(np.linalg.norm(u)))
     return pobj, dobj, eta_gap, eta_d
 
 
 def dual_pair(z: np.ndarray, data: ProblemData):
-    """The dual pair a primal point z gives, and A^T xi: returns
-    (xi, u, A^T xi) with xi = Az - b and u = proj_{dom p*}(-A^T xi)."""
-    A = data.A
-    xi = A.matvec(z) - data.b
-    at_xi = A.tmatvec(xi)
-    u = prox_conjugate(-at_xi, 1.0, data.require_penalties())
-    return xi, u, at_xi
+    """The dual pair (xi, u) a primal point z gives: xi = Az - b and
+    u = proj_{dom p*}(-A^T xi)."""
+    xi = data.A.matvec(z) - data.b
+    u = prox_conjugate(-data.A.tmatvec(xi), 1.0, data.require_penalties())
+    return xi, u
 
 
 def eta_rel(pobj: float, ref_pobj: float) -> float:

@@ -21,7 +21,7 @@ from .common import (DENSE_CAP, NEWTON_CG_ITERS, SolverConfig, Solution,
                      newton_cg_target, tolerances)
 from .jacobian import ProxJacobian, build_jacobian, design_factors
 from .linalg import cg_solve, cho_solve, cholesky, estimate_lipschitz
-from .metrics import duality_metrics, eta_kkt, lsq_residual
+from .metrics import duality_metrics, eta_kkt
 from .problem import ProblemData
 from .prox import prox_clustered
 
@@ -113,29 +113,24 @@ class DualStep:
     runs out first, xi is kept but the multiplier update is skipped and
     the step rejected, so the outer loop backs sigma off.
 
-    The step works on form.data (`SquareRootForm`, built here when not
-    given); the gradient floor 1e-13 (1 + ||b||) comes from data as given.
+    The step works on form.data (`SquareRootForm`); the gradient floor
+    1e-13 (1 + ||b||) comes from data as given.
     sigma0 = SIGMA0_CURVATURE / L, L a 10-step power estimate of
     lambda_max(A^T A) (1 for a zero A), fixes the first subproblem's
     curvature sigma A M A^T whatever the scale of A and b.
-
-    measures makes three products with the design: r = A x - b for pobj,
-    A^T r for eta_kkt, and at_xi = A^T xi for eta_d and the next inner
-    start y = x/sigma - A^T xi.
     """
 
     z = None
 
     def __init__(self, data: ProblemData, cfg: SolverConfig,
-                 form: Optional[SquareRootForm] = None):
+                 form: SquareRootForm):
         self.floor = 1e-13 * (1.0 + float(np.linalg.norm(data.b)))
-        self.data = data = (form or SquareRootForm(data)).data
+        self.data = data = form.data
         self.cfg = cfg
         lip = estimate_lipschitz(data.A, iters=10)
         self.sigma0 = SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
         self.xi = np.zeros(data.A.m)
-        # replaced, never updated; at_xi = A^T xi, zero at xi = 0
-        self.u = self.x = self.at_xi = np.zeros(data.A.n)
+        self.u = self.x = np.zeros(data.A.n)  # replaced, never updated
 
     def inner(self, sigma, k, deadline):
         eps_k, delta_k, deltap_k = tolerances(k)
@@ -151,20 +146,15 @@ class DualStep:
             return gn <= min(delta_k * sqrt_sigma, deltap_k) * feas
 
         self.xi, y, pr, residuals, ncg, hit_cap = newton(
-            sub, self.xi, stop, self.cfg.ssn.max_newton, deadline,
-            aux0=sub.x_over_sigma - self.at_xi)
-        self.at_xi = None  # measures forms it at the new xi
+            sub, self.xi, stop, self.cfg.ssn.max_newton, deadline)
         if not hit_cap:
             self.u = y - pr.prox
             self.x = sigma * pr.prox
         return residuals, ncg, not hit_cap
 
     def measures(self):
-        r, g = lsq_residual(self.x, self.data)
-        self.at_xi = self.data.A.tmatvec(self.xi)
-        return (*duality_metrics(self.x, self.xi, self.u, self.data, r,
-                                 self.at_xi),
-                eta_kkt(self.x, self.data, g))
+        return (*duality_metrics(self.x, self.xi, self.u, self.data),
+                eta_kkt(self.x, self.data))
 
 
 def solve(data: ProblemData, cfg: Optional[SolverConfig] = None) -> Solution:

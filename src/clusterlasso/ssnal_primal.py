@@ -73,8 +73,7 @@ class PrimalSubproblem:
 
         1/2||Ax - b||^2 = q + <g, d> + <d, G d>/2,   A^T(Ax - b) = g + G d,
 
-    with q = 1/2||r||^2 and g = A^T r, r = A x_tilde - b: lsq = (r, g) when
-    the caller has them, else one product with A and one with A^T here.
+    with q = 1/2||r||^2 and g = A^T r, r = A x_tilde - b (`lsq_residual`).
     Centred at x_tilde, its terms shrink with the step instead of
     cancelling at the scale of A^T b.  The aux vector `newton` carries is
     G d; `lift` applies G, as gram (A^T A or None, which also picks the
@@ -83,7 +82,7 @@ class PrimalSubproblem:
 
     def __init__(self, data: ProblemData, x_tilde: np.ndarray,
                  y_tilde: np.ndarray, sigma: float,
-                 gram: Optional[np.ndarray], lsq: Optional[tuple] = None):
+                 gram: Optional[np.ndarray]):
         self.data = data
         self.pen = data.require_penalties()
         self.x_tilde = x_tilde
@@ -92,8 +91,7 @@ class PrimalSubproblem:
         self.gram = gram
         self.shift = y_tilde + x_tilde / sigma
         self.coef = sigma + 1.0 / sigma
-        r, self.g_tilde = lsq if lsq is not None else lsq_residual(
-            x_tilde, data)
+        r, self.g_tilde = lsq_residual(x_tilde, data)
         self.q_tilde = 0.5 * float(r @ r)
 
     def aux(self, x):
@@ -130,32 +128,25 @@ class PrimalSubproblem:
 
 class PrimalStep:
     """One outer iteration of the primal augmented Lagrangian on form.data
-    (`SquareRootForm`, built here when not given), whose gram picks the
-    dense Newton route.  sigma0 = max(1, ||b|| / sqrt(m)) and the gradient
-    floor 1e-13 (1 + ||b||) come from data as given.
+    (`SquareRootForm`), whose gram picks the dense Newton route.
+    sigma0 = max(1, ||b|| / sqrt(m)) and the gradient floor
+    1e-13 (1 + ||b||) come from data as given.
 
     inner: Newton-solve for x, then z <- prox_{p/sigma}(x - y/sigma) and
     y <- y - sigma (x - z), also after a capped inner solve.  The inner
     tolerance is eps_k / sigma times the step size, but never below
     EPS sigma ||x||, the rounding level of the gradient's sigma x term.
-
-    measures makes four products with the design: xi = A z - b and A^T xi
-    give u = proj_{dom p*}(-A^T xi) and eta_d, r = A x - b pobj and
-    g = A^T r eta_kkt; (r, g), kept in lsq, is also the next subproblem's
-    expansion at this x.
     """
 
     def __init__(self, data: ProblemData, cfg: SolverConfig,
-                 form: Optional[SquareRootForm] = None):
+                 form: SquareRootForm):
         b_norm = float(np.linalg.norm(data.b))
         self.floor = 1e-13 * (1.0 + b_norm)
         self.sigma0 = max(1.0, b_norm / np.sqrt(data.m))
-        form = form or SquareRootForm(data)
         self.data, self.gram, self.cfg = form.data, form.gram, cfg
         # every iterate is replaced, never updated in place
         self.x = self.z = self.y = self.u = np.zeros(data.n)
         self.xi = np.zeros(self.data.m)
-        self.lsq = None  # (A x - b, A^T(A x - b)) at the current x
 
     def inner(self, sigma, k, deadline):
         eps_k = tolerances(k)[0]
@@ -171,8 +162,7 @@ class PrimalStep:
                            + float((y_c - y0) @ (y_c - y0)))
             return gn <= (eps_k / sigma) * min(1.0, step)
 
-        sub = PrimalSubproblem(self.data, x0, y0, sigma, self.gram, self.lsq)
-        self.lsq = None
+        sub = PrimalSubproblem(self.data, x0, y0, sigma, self.gram)
         self.x, _, pr, residuals, ncg, _ = newton(
             sub, x0, stop, self.cfg.ssn.max_newton, deadline)
         self.z = pr.prox / sigma
@@ -180,11 +170,9 @@ class PrimalStep:
         return residuals, ncg, True
 
     def measures(self):
-        self.xi, self.u, at_xi = dual_pair(self.z, self.data)
-        self.lsq = r, g = lsq_residual(self.x, self.data)
-        return (*duality_metrics(self.x, self.xi, self.u, self.data, r,
-                                 at_xi),
-                eta_kkt(self.x, self.data, g))
+        self.xi, self.u = dual_pair(self.z, self.data)
+        return (*duality_metrics(self.x, self.xi, self.u, self.data),
+                eta_kkt(self.x, self.data))
 
 
 def solve_primal(data: ProblemData,

@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import clusterlasso
-from clusterlasso.common import SolverConfig, SsnControls
+from clusterlasso.common import SolverConfig, Solution, SsnControls
 from clusterlasso.first_order import FirstOrderConfig
 
 
@@ -94,7 +94,7 @@ def test_linearized_d_admm_is_gone():
 
 
 def test_removed_parameters_stay_removed():
-    from clusterlasso import (jacobian, linalg, metrics, ssnal_dual,
+    from clusterlasso import (common, jacobian, linalg, metrics, ssnal_dual,
                               ssnal_primal)
 
     def params(fn):
@@ -105,3 +105,15 @@ def test_removed_parameters_stay_removed():
     assert "ties_tol" not in params(jacobian.build_jacobian)
     assert "seed" not in params(linalg.estimate_lipschitz)
     assert params(metrics.nnz) == params(metrics.gnnz) == {"x"}
+    # the measures form their own products; the steps take the form the
+    # outer loop builds
+    assert params(metrics.primal_objective) == {"x", "data"}
+    assert params(metrics.duality_metrics) == {"x", "xi", "u", "data"}
+    assert "aux0" not in params(common.newton)
+    assert "lsq" not in params(ssnal_primal.PrimalSubproblem)
+    for step in (ssnal_dual.DualStep, ssnal_primal.PrimalStep):
+        form = inspect.signature(step).parameters["form"]
+        assert form.default is inspect.Parameter.empty
+    fields = {f.name for f in dataclasses.fields(FirstOrderConfig)}
+    assert "track_objective" not in fields
+    assert "obj_trace" not in {f.name for f in dataclasses.fields(Solution)}

@@ -64,8 +64,9 @@ class TestSigmaPolicy:
         # the primal keeps max(1, ||b|| / sqrt(m)); m = 4 here
         A = np.random.default_rng(0).normal(size=(4, 3))
         cfg = SolverConfig()
-        assert PrimalStep(_data(A, np.full(4, 2.0)), cfg).sigma0 == 2.0
-        assert PrimalStep(_data(A, np.full(4, 0.25)), cfg).sigma0 == 1.0
+        for b, want in ((2.0, 2.0), (0.25, 1.0)):
+            data = _data(A, np.full(4, b))
+            assert PrimalStep(data, cfg, SquareRootForm(data)).sigma0 == want
 
     def test_loop_starts_at_step_sigma0(self):
         assert _run([(10, True)], start=0.125)[1] == [0.125]
@@ -74,13 +75,14 @@ class TestSigmaPolicy:
     def test_dual_start_fixes_sigma_times_lipschitz(self, scale):
         rng = np.random.default_rng(1)
         data = _data(scale * rng.normal(size=(30, 6)), rng.normal(size=30))
-        step = DualStep(data, SolverConfig())
+        step = DualStep(data, SolverConfig(), SquareRootForm(data))
         lip = estimate_lipschitz(data.A, iters=10)
         assert step.sigma0 * lip == pytest.approx(SIGMA0_CURVATURE, rel=1e-12)
 
     def test_dual_start_on_zero_design_is_one(self):
         data = _data(np.zeros((5, 3)), np.ones(5))
-        assert DualStep(data, SolverConfig()).sigma0 == 1.0
+        step = DualStep(data, SolverConfig(), SquareRootForm(data))
+        assert step.sigma0 == 1.0
         sol = solve(data)
         assert sol.status == CONVERGED
         np.testing.assert_array_equal(sol.x, 0.0)

@@ -61,6 +61,21 @@ class TestLibsvmRead:
         with pytest.raises(LibsvmParseError):
             read_libsvm(p)
 
+    def test_repeated_index_rejected(self, tmp_path):
+        # CSR construction would add the two values up into A[0, 1] = 4
+        p = tmp_path / "dup.libsvm"
+        p.write_text("1.0 1:1.0\n1.0 2:1.0 2:3.0\n")
+        with pytest.raises(LibsvmParseError) as ei:
+            read_libsvm(p)
+        assert ei.value.line_no == 2
+        assert "2:3.0" in str(ei.value)
+
+    def test_unsorted_distinct_indices_accepted(self, tmp_path):
+        p = tmp_path / "unsorted.libsvm"
+        p.write_text("1.0 3:4.0 1:2.0\n")
+        A, _ = read_libsvm(p)
+        np.testing.assert_array_equal(A.toarray(), [[2.0, 0.0, 4.0]])
+
     def test_bad_value(self, tmp_path):
         p = tmp_path / "bad4.libsvm"
         p.write_text("1.0 1:zz 2:2.0\n")

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from clusterlasso.common import CONVERGED, tall_gram
 from clusterlasso.linalg import DesignMatrix
 from clusterlasso.metrics import (
     dual_objective,
@@ -16,10 +15,6 @@ from clusterlasso.metrics import (
 )
 from clusterlasso.problem import ProblemData
 from clusterlasso.prox import Penalties
-from clusterlasso.ssnal_dual import DualStep
-from clusterlasso.ssnal_dual import solve as solve_dual
-from clusterlasso.ssnal_primal import (PrimalStep, PrimalSubproblem,
-                                       solve_primal)
 from oracles import pairwise_penalty
 
 
@@ -107,48 +102,6 @@ class TestDualityMetrics:
         _, _, _, e_d = duality_metrics(np.zeros(2), xi, u, data)
         want = np.linalg.norm(data.A.tmatvec(xi))
         assert e_d == pytest.approx(want / 1.0)
-
-
-class TestSharedProducts:
-    """The SSNAL steps hand the products they share to the measures; at
-    every outer iterate the result must equal, bit for bit, what the
-    measures give when they form every product themselves on the data the
-    step works on (the n x n square-root form on the tall design)."""
-
-    @pytest.mark.parametrize("m, n", [(40, 8), (10, 30)], ids=["tall", "wide"])
-    @pytest.mark.parametrize("step_cls, solver",
-                             [(DualStep, solve_dual),
-                              (PrimalStep, solve_primal)],
-                             ids=["dual", "primal"])
-    def test_measures_match_unshared_measures(self, monkeypatch, step_cls,
-                                              solver, m, n):
-        rng = np.random.default_rng(m)
-        data = ProblemData(DesignMatrix(rng.normal(size=(m, n))),
-                           rng.normal(size=m), Penalties(0.3, 0.1))
-        assert (tall_gram(data.A) is not None) == (m > n)
-        measures = step_cls.measures
-        checked = []
-
-        def measured(step):
-            work = step.data
-            assert work.m == (n if m > n else m)
-            got = measures(step)
-            assert got == (*duality_metrics(step.x, step.xi, step.u, work),
-                           eta_kkt(step.x, work))
-            if isinstance(step, PrimalStep):
-                # the next subproblem's expansion at x_tilde = x
-                shared = PrimalSubproblem(work, step.x, step.y, 2.0,
-                                          step.gram, step.lsq)
-                fresh = PrimalSubproblem(work, step.x, step.y, 2.0, step.gram)
-                assert shared.q_tilde == fresh.q_tilde
-                assert shared.g_tilde.tobytes() == fresh.g_tilde.tobytes()
-            checked.append(got)
-            return got
-
-        monkeypatch.setattr(step_cls, "measures", measured)
-        sol = solver(data)
-        assert sol.status == CONVERGED
-        assert len(checked) == sol.outer_iters > 1
 
 
 class TestEtaRel:
