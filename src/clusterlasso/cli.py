@@ -20,6 +20,7 @@ from .data import (ScenarioSpec, generate_scenario, penalties_from_alphas,
                    read_libsvm, write_libsvm)
 from .first_order import FirstOrderConfig
 from .metrics import eta_rel, gnnz, nnz
+from .problem import ProblemData
 from .prox import Penalties
 
 SOLVER_NAMES = ("ssnal-d", "ssnal-p", "admm-d", "admm-p", "iadmm", "apg",
@@ -122,8 +123,9 @@ def _record(name, instance, data, sol, alpha1=None, alpha2=None) -> RunRecord:
 def _load_problem(args):
     """Build ProblemData from --input or --scenario flags; returns (data, instance_name)."""
     if args.input is not None:
+        if args.scenario is not None:
+            raise ValueError("give either --input or --scenario, not both")
         A, b = read_libsvm(args.input)
-        from .problem import ProblemData
         return ProblemData(A=A, b=b), os.path.basename(args.input)
     if args.scenario is None:
         raise ValueError("either --input or --scenario is required")
@@ -134,6 +136,9 @@ def _load_problem(args):
 
 
 def _apply_penalties(args, data):
+    if args.rho is not None and args.beta is None:
+        raise ValueError("--rho needs --beta; with --alpha1/--alpha2, "
+                         "--alpha2 sets rho")
     if args.beta is not None:
         if args.alpha1 is not None or args.alpha2 is not None:
             raise ValueError("give either --alpha1/--alpha2 or --beta/--rho")

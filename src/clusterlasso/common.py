@@ -57,10 +57,9 @@ def newton(sub, v0, stop, max_newton: int, deadline: float):
     sub supplies the formulation: aux(v) is the design product carried
     along with the iterate, prox(v, aux) the prox result at v, grad and
     value the subproblem's gradient and value, lift(h) the change of aux
-    along h, and direction(aux, pr, g, counter) the Newton step h for -g
-    together with lift(h), which a route may get more cheaply than lift
-    does (CG iterations added to counter[0]).  stop(gnorm, v, pr) decides
-    sufficiency.
+    along h, and direction(pr, g) the Newton step h for -g with the CG
+    operator applications its linear solve made.  stop(gnorm, v, pr)
+    decides sufficiency.
 
     The line search tries alpha = 1, then after each failed Armijo trial
     (MU) the minimizer of the parabola through phi(0), phi'(0) = <g, h>
@@ -78,27 +77,29 @@ def newton(sub, v0, stop, max_newton: int, deadline: float):
     step's phi0.
 
     Returns (v, aux, pr, residuals, cg_iters, hit_cap); residuals holds the
-    gradient norm at every iterate, hit_cap whether max_newton ran out.
+    gradient norm at every iterate, cg_iters the sum of the directions' CG
+    counts, hit_cap whether max_newton ran out.
     """
     v = np.array(v0, dtype=np.float64)
     aux = sub.aux(v)
     pr = sub.prox(v, aux)
     phi = None
     residuals = []
-    cg_counter = [0]
+    cg_iters = 0
     for _ in range(max_newton):
         g = sub.grad(v, aux, pr)
         gn = float(np.linalg.norm(g))
         residuals.append(gn)
         if stop(gn, v, pr) or time.perf_counter() > deadline:
-            return v, aux, pr, residuals, cg_counter[0], False
-        h, dh = sub.direction(aux, pr, g, cg_counter)
+            return v, aux, pr, residuals, cg_iters, False
+        h, ncg = sub.direction(pr, g)
+        cg_iters += ncg
         gh = float(g @ h)
         if gh >= 0.0:
             # inexact direction lost descent; fall back to steepest descent
             h = -g
             gh = -gn * gn
-            dh = sub.lift(h)
+        dh = sub.lift(h)
         if phi is None:
             phi = sub.value(v, aux, pr)
         alpha = 1.0
@@ -121,7 +122,7 @@ def newton(sub, v0, stop, max_newton: int, deadline: float):
                 alpha *= LS_SHRINK
         v, aux, pr, phi = v_t, aux_t, pr_t, phi_t
     residuals.append(float(np.linalg.norm(sub.grad(v, aux, pr))))
-    return v, aux, pr, residuals, cg_counter[0], True
+    return v, aux, pr, residuals, cg_iters, True
 
 
 # sigma schedule of the outer loop: x3 growth per accepted step, capped at

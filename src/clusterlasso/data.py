@@ -83,7 +83,8 @@ def read_libsvm(path):
 def write_libsvm(path, A, b) -> None:
     """Write (A, b) in LIBSVM format; zeros are skipped, indices 1-based."""
     b = np.asarray(b, dtype=np.float64)
-    dense = A.toarray() if isinstance(A, DesignMatrix) else np.asarray(A)
+    dense = (A.toarray() if isinstance(A, DesignMatrix) or sp.issparse(A)
+             else np.asarray(A))
     with open(path, "w", encoding="ascii") as fh:
         for i in range(dense.shape[0]):
             row = dense[i]

@@ -132,12 +132,7 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
                 gram = np.asarray(gram.todense())
         chol = cholesky(sigma * gram, 1.0)
 
-    cg_count = [0]
-
-    def apply(v):
-        cg_count[0] += 1
-        return v + sigma * A.matvec(A.tmatvec(v))
-
+    cg_iters = 0
     status = e_rel = None
     u_prev = u.copy()
     it = 0
@@ -152,8 +147,10 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
                 xi = cho_solve(chol, rhs)
             else:
                 tol_k = min(0.9 ** it, 0.1 * float(np.linalg.norm(rhs)))
-                xi = cg_solve(apply, rhs, max(tol_k, 1e-14), CG_MAX_ITERS,
-                              x0=xi)
+                xi, calls = cg_solve(
+                    lambda v: v + sigma * A.matvec(A.tmatvec(v)), rhs,
+                    max(tol_k, 1e-14), CG_MAX_ITERS, x0=xi)
+                cg_iters += calls
             at_xi = A.tmatvec(xi)
         v = x / sigma - at_xi
         pr = prox_clustered(v, pen)
@@ -177,7 +174,7 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     if gram_side:
         xi = A.matvec(xi_arg) - b
     return _finish(x, xi, u, data, status, it, t0, e_rel,
-                   cg_iters=cg_count[0])
+                   cg_iters=cg_iters)
 
 
 def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,

@@ -81,33 +81,35 @@ class DesignMatrix:
         return f"DesignMatrix({self.m}x{self.n}, {kind})"
 
 
-def cg_solve(apply, rhs: np.ndarray, tol: float, max_iters: int,
-             x0=None) -> np.ndarray:
+def cg_solve(apply, rhs: np.ndarray, tol: float, max_iters: int, x0=None):
     """Conjugate gradients for SPD operators.
 
-    Stops when ||apply(x) - rhs|| <= tol, an absolute level; raises
-    MaxItersExceeded (carrying the last iterate) after max_iters
-    iterations.
+    Stops when ||apply(x) - rhs|| <= tol, an absolute level, and returns
+    (x, calls), calls the number of apply calls: one per iteration, plus
+    one for the residual of a warm start x0.  Raises MaxItersExceeded
+    (carrying the last iterate) after max_iters iterations.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if x0 is None:
         x = np.zeros_like(rhs)
         r = rhs.copy()
+        calls = 0
     else:
         x = np.array(x0, dtype=np.float64)
         r = rhs - apply(x)
+        calls = 1
     rr = float(r @ r)
     if np.sqrt(rr) <= tol:
-        return x
+        return x, calls
     p = r.copy()
-    for _ in range(max_iters):
+    for it in range(1, max_iters + 1):
         ap = apply(p)
         alpha = rr / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
         rr_new = float(r @ r)
         if np.sqrt(rr_new) <= tol:
-            return x
+            return x, calls + it
         p = r + (rr_new / rr) * p
         rr = rr_new
     raise MaxItersExceeded(x, np.sqrt(rr), max_iters)

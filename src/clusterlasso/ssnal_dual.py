@@ -30,10 +30,10 @@ from .prox import prox_clustered
 SIGMA0_CURVATURE = 100.0
 
 
-def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
-                        counter=None):
+def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray):
     """Solve (I + sigma A M A^T) h = rhs to the inexact-Newton tolerance;
-    returns (h, -A^T h), the step and the change of y = x/sigma - A^T xi.
+    returns (h, cg_calls), cg_calls the CG operator applications (0 on a
+    direct route).
 
     With M = P P^T the matrix is I + sigma W W^T for the m x k thin factor
     W = AP from `design_factors` (k = |free| + pools; h = rhs when k = 0).
@@ -44,23 +44,17 @@ def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray,
     direct routes densify a sparse W; CG keeps it sparse.
     """
     if jac.free_idx.shape[0] + jac.npools == 0:
-        return rhs.copy(), -A.tmatvec(rhs)
+        return rhs.copy(), 0
     W = design_factors(jac, A)
     m, k = W.shape
-    if min(k, m) <= DENSE_CAP:
-        Wd = W.toarray() if sp.issparse(W) else W
-        if k < m:
-            L = cholesky(Wd.T @ Wd, 1.0 / sigma)
-            h = rhs - Wd @ cho_solve(L, Wd.T @ rhs)
-        else:
-            h = cho_solve(cholesky(sigma * (Wd @ Wd.T), 1.0), rhs)
-    else:
-        def apply(v):
-            if counter is not None:
-                counter[0] += 1
-            return v + sigma * (W @ (W.T @ v))
-        h = cg_solve(apply, rhs, newton_cg_target(rhs), NEWTON_CG_ITERS)
-    return h, -A.tmatvec(h)
+    if min(k, m) > DENSE_CAP:
+        return cg_solve(lambda v: v + sigma * (W @ (W.T @ v)), rhs,
+                        newton_cg_target(rhs), NEWTON_CG_ITERS)
+    Wd = W.toarray() if sp.issparse(W) else W
+    if k < m:
+        L = cholesky(Wd.T @ Wd, 1.0 / sigma)
+        return rhs - Wd @ cho_solve(L, Wd.T @ rhs), 0
+    return cho_solve(cholesky(sigma * (Wd @ Wd.T), 1.0), rhs), 0
 
 
 class DualSubproblem:
@@ -72,7 +66,7 @@ class DualSubproblem:
     with y = x_tilde/sigma - A^T xi (the aux vector `newton` carries) and
     gradient xi + b - sigma A prox_p(y); the conjugate-penalty term
     vanishes on its domain.  A Newton step makes one product with A for
-    the gradient and one with A^T in `solve_newton_system`.
+    the gradient and one with A^T in `lift`.
     """
 
     def __init__(self, data: ProblemData, x_tilde: np.ndarray, sigma: float):
@@ -95,10 +89,9 @@ class DualSubproblem:
         return (0.5 * float(xi @ xi) + float(self.data.b @ xi)
                 + 0.5 * self.sigma * float(pr.prox @ pr.prox) + self.const)
 
-    def direction(self, y, pr, g, counter):
+    def direction(self, pr, g):
         jac = build_jacobian(pr, self.pen)
-        return solve_newton_system(jac, self.data.A, self.sigma, -g,
-                                   counter=counter)
+        return solve_newton_system(jac, self.data.A, self.sigma, -g)
 
     def lift(self, h):
         return -self.data.A.tmatvec(h)

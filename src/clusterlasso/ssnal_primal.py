@@ -31,9 +31,10 @@ EPS = np.finfo(np.float64).eps
 
 def solve_newton_system_primal(jac: ProxJacobian, A, sigma: float,
                                rhs: np.ndarray,
-                               gram: Optional[np.ndarray] = None,
-                               counter=None) -> np.ndarray:
-    """Solve (A^T A + sigma (I - M) + I/sigma) h = rhs.
+                               gram: Optional[np.ndarray] = None):
+    """Solve (A^T A + sigma (I - M) + I/sigma) h = rhs; returns (h,
+    cg_calls), cg_calls the CG operator applications (0 on the dense
+    route).
 
     With a cached Gram matrix (`tall_gram`, so n <= DENSE_CAP): dense
     Cholesky of the matrix assembled from the mask/run structure.
@@ -50,11 +51,9 @@ def solve_newton_system_primal(jac: ProxJacobian, A, sigma: float,
             U[np.ix_(idx, idx)] -= sigma / jac.pool_sizes[t]
         diag_add = np.full(jac.n, sigma + 1.0 / sigma)
         diag_add[jac.free_idx] = 1.0 / sigma
-        return cho_solve(cholesky(U, diag_add), rhs)
+        return cho_solve(cholesky(U, diag_add), rhs), 0
 
     def apply(v):
-        if counter is not None:
-            counter[0] += 1
         return A.tmatvec(A.matvec(v)) + sigma * (v - jac.apply(v)) + v / sigma
 
     return cg_solve(apply, rhs, newton_cg_target(rhs), NEWTON_CG_ITERS)
@@ -114,11 +113,10 @@ class PrimalSubproblem:
                 - float(self.y_tilde @ d) + 0.5 * sigma * float(d @ d)
                 + float(dx @ dx) / (2.0 * sigma))
 
-    def direction(self, aux, pr, g, counter):
+    def direction(self, pr, g):
         jac = build_jacobian(pr, self.pen)
-        h = solve_newton_system_primal(jac, self.data.A, self.sigma, -g,
-                                       self.gram, counter=counter)
-        return h, self.lift(h)
+        return solve_newton_system_primal(jac, self.data.A, self.sigma, -g,
+                                          self.gram)
 
     def lift(self, h):
         if self.gram is None:

@@ -4,6 +4,7 @@ removed from the package stay removed."""
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 import clusterlasso
@@ -114,6 +115,15 @@ def test_removed_parameters_stay_removed():
     for step in (ssnal_dual.DualStep, ssnal_primal.PrimalStep):
         form = inspect.signature(step).parameters["form"]
         assert form.default is inspect.Parameter.empty
+    # a Newton route returns its step and CG count, and `newton` lifts the
+    # step itself; conjugate gradients return their operator applications
+    assert "counter" not in params(ssnal_dual.solve_newton_system)
+    assert "counter" not in params(ssnal_primal.solve_newton_system_primal)
+    for sub in (ssnal_dual.DualSubproblem, ssnal_primal.PrimalSubproblem):
+        direction = inspect.signature(sub.direction).parameters
+        assert list(direction) == ["self", "pr", "g"]
+    out = linalg.cg_solve(lambda v: v, np.ones(3), 1e-12, 5)
+    assert isinstance(out, tuple) and len(out) == 2 and out[1] == 1
     fields = {f.name for f in dataclasses.fields(FirstOrderConfig)}
     assert "track_objective" not in fields
     assert "obj_trace" not in {f.name for f in dataclasses.fields(Solution)}

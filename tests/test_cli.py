@@ -144,6 +144,27 @@ class TestSolve:
             "--alpha2", "0.1", "--beta", "1.0")
         assert code == 2
 
+    def test_rho_without_beta_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys, "solve", "--scenario", "1", "--k", "1", "--seed", "1",
+            "--m-override", "60", "--alpha1", "1e-3", "--alpha2", "1e-3",
+            "--rho", "5")
+        assert code == 2
+        assert out == ""
+        assert "--rho" in err and "--beta" in err
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_input_with_scenario_exits_2(self, capsys, tmp_path, command):
+        libsvm = tmp_path / "toy.libsvm"
+        libsvm.write_text("1.0 1:1.0\n-1.0 2:1.0\n0.5 1:1.0 2:1.0\n")
+        argv = ["--input", str(libsvm), "--scenario", "7", "--k", "3"]
+        if command == "solve":
+            argv += ["--alpha1", "1e-2", "--alpha2", "1e-2"]
+        code, out, err = _run(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--input" in err and "--scenario" in err
+
     def test_missing_problem_exits_2(self, capsys):
         code, _, err = _run(capsys, "solve", "--alpha1", "0.1",
                             "--alpha2", "0.1")

@@ -1,14 +1,16 @@
 """Tests for the augmented-Lagrangian outer loop shared by both SSNAL
 solvers, driven by a scripted step so the sigma policy is seen directly,
 for the starting sigma each formulation's step picks, for the line search
-of the shared Newton loop on one-dimensional subproblems, and for the
-n x n square-root form both solve on tall designs."""
+and the steepest-descent fallback of the shared Newton loop on small
+fake subproblems, for the n x n square-root form both solve on tall
+designs, and for the CG work the solvers report."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from clusterlasso import common, metrics
+from clusterlasso import (common, first_order, metrics, ssnal_dual,
+                          ssnal_primal)
 from clusterlasso.common import (CONVERGED, LS_CLIP_HIGH, LS_CLIP_LOW,
                                  LS_SHRINK, MAX_ITERS, MAX_TIME, MU,
                                  SIGMA_MAX, SolverConfig, SquareRootForm,
@@ -170,10 +172,10 @@ class Kinked:
         self.log.append(("value", float(v[0]), phi))
         return phi
 
-    def direction(self, aux, pr, g, counter):
+    def direction(self, pr, g):
         h = -g
         self.log.append(("step", float(pr[0]), float(h[0]), float(g @ h)))
-        return h, np.zeros(1)
+        return h, 0
 
 
 def _steps(log):
@@ -274,8 +276,8 @@ class NoisyQuadratic:
         sign = 1.0 if abs(v[0]) <= 1e-7 else -1.0
         return phi + sign * np.finfo(np.float64).eps * phi
 
-    def direction(self, aux, pr, g, counter):
-        return -g, np.zeros(1)
+    def direction(self, pr, g):
+        return -g, 0
 
 
 class TestRoundingGuard:
@@ -293,6 +295,48 @@ class TestRoundingGuard:
         assert v[0] == 0.0
         # the guard's gradient reuses the trial's prox: one prox per value
         assert sub.calls == {"prox": 2, "value": 2}
+
+
+class AscentQuadratic:
+    """phi(v) = <v, C v> / 2 with C = diag(2, 3) and aux(v) = C v, whose
+    direction always returns the ascent step +g, so `newton` falls back
+    to steepest descent at every step and must carry aux along that
+    step's lift."""
+
+    C = np.array([2.0, 3.0])
+
+    def __init__(self):
+        self.directions = 0
+
+    def aux(self, v):
+        return self.C * v
+
+    def lift(self, h):
+        return self.C * h
+
+    def prox(self, v, aux):
+        return None
+
+    def grad(self, v, aux, pr):
+        return aux.copy()
+
+    def value(self, v, aux, pr):
+        return 0.5 * float(v @ aux)
+
+    def direction(self, pr, g):
+        self.directions += 1
+        return g.copy(), 0
+
+
+class TestSteepestDescentFallback:
+    def test_aux_follows_the_fallback_step(self):
+        sub = AscentQuadratic()
+        v, aux, _, residuals, ncg, hit_cap = newton(
+            sub, np.ones(2), lambda gn, _v, _pr: gn <= 1e-10, 200,
+            deadline=np.inf)
+        assert not hit_cap and residuals[-1] <= 1e-10
+        assert sub.directions == len(residuals) - 1 and ncg == 0
+        np.testing.assert_allclose(aux, sub.aux(v), rtol=1e-12, atol=1e-15)
 
 
 def _tall(seed, m=40, n=8):
@@ -398,3 +442,47 @@ class TestSingularGram:
         assert dobj == pytest.approx(sol.dobj, rel=1e-9)
         if kind != "near":
             assert set(products) == {data.A}
+
+
+def _count_cg_applies(monkeypatch, module):
+    """Wrap the apply that module hands to `cg_solve`; returns the list
+    that gets one entry per call of it."""
+    calls = []
+    cg_solve = module.cg_solve
+
+    def counted(apply, *args, **kwargs):
+        def wrapped(v):
+            calls.append(1)
+            return apply(v)
+        return cg_solve(wrapped, *args, **kwargs)
+
+    monkeypatch.setattr(module, "cg_solve", counted)
+    return calls
+
+
+class TestCgWork:
+    """`Solution.total_cg_iters` is the number of CG operator
+    applications, including the residual of a warm-started solve."""
+
+    def test_dual_cg_route(self, monkeypatch):
+        monkeypatch.setattr(ssnal_dual, "DENSE_CAP", 0)
+        calls = _count_cg_applies(monkeypatch, ssnal_dual)
+        sol = solve(_tall(8, m=12, n=8))
+        assert sol.status == CONVERGED
+        assert sol.total_cg_iters == len(calls) > 0
+
+    def test_primal_cg_route(self, monkeypatch):
+        # m < 4n: no Gram matrix, so every Newton system runs CG
+        calls = _count_cg_applies(monkeypatch, ssnal_primal)
+        sol = solve_primal(_tall(9, m=20, n=8))
+        assert sol.status == CONVERGED
+        assert sol.total_cg_iters == len(calls) > 0
+
+    def test_inexact_dual_admm(self, monkeypatch):
+        calls = _count_cg_applies(monkeypatch, first_order)
+        sol = first_order.d_admm_solve(
+            _tall(10, m=12, n=8),
+            first_order.FirstOrderConfig(tol=1e-5, variant="inexact"))
+        assert sol.status == CONVERGED
+        # one warm-started CG solve per iteration, each with its residual
+        assert sol.total_cg_iters == len(calls) > sol.outer_iters

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from clusterlasso.data import (
     SCENARIO_IDS,
@@ -108,6 +109,15 @@ class TestLibsvmRoundTrip:
         write_libsvm(p, DesignMatrix(M), np.arange(3.0))
         A2, b2 = read_libsvm(p)
         np.testing.assert_allclose(A2.toarray(), M)
+
+    def test_scipy_sparse_input(self, tmp_path):
+        M = sp.random(6, 5, density=0.4, format="csr", random_state=2)
+        b = np.linspace(-1.0, 1.0, 6)
+        p = tmp_path / "rt_sparse.libsvm"
+        write_libsvm(p, M, b)
+        A2, b2 = read_libsvm(p)
+        np.testing.assert_array_equal(A2.toarray(), M.toarray())
+        np.testing.assert_array_equal(b2, b)
 
     def test_full_precision_survives(self, tmp_path):
         M = np.array([[np.pi, 1 / 3], [np.e, 2 / 7]])

@@ -109,10 +109,16 @@ class TestCgSolve:
         n = int(rng.integers(2, 40))
         H = _random_spd(rng, n, cond=50.0)
         rhs = rng.normal(size=n)
-        got = cg_solve(lambda v: H @ v, rhs,
-                       1e-12 * np.linalg.norm(rhs), 500)
+        applied = []
+
+        def apply(v):
+            applied.append(1)
+            return H @ v
+
+        got, calls = cg_solve(apply, rhs, 1e-12 * np.linalg.norm(rhs), 500)
         np.testing.assert_allclose(got, np.linalg.solve(H, rhs),
                                    atol=1e-8, rtol=1e-8)
+        assert calls == len(applied) > 0
 
     def test_zero_rhs_short_circuits(self):
         calls = []
@@ -121,18 +127,30 @@ class TestCgSolve:
             calls.append(1)
             return v
 
-        x = cg_solve(apply, np.zeros(5), 0.0, 500)
+        x, ncalls = cg_solve(apply, np.zeros(5), 0.0, 500)
         np.testing.assert_array_equal(x, np.zeros(5))
-        assert not calls
+        assert not calls and ncalls == 0
 
     def test_warm_start_converges_immediately(self):
         rng = np.random.default_rng(7)
         H = _random_spd(rng, 10)
         rhs = rng.normal(size=10)
         exact = np.linalg.solve(H, rhs)
-        x = cg_solve(lambda v: H @ v, rhs, 1e-6 * np.linalg.norm(rhs), 500,
-                     x0=exact)
+        x, calls = cg_solve(lambda v: H @ v, rhs, 1e-6 * np.linalg.norm(rhs),
+                            500, x0=exact)
         np.testing.assert_allclose(x, exact, atol=1e-10)
+        # the warm start's residual is the only operator application
+        assert calls == 1
+
+    def test_warm_start_counts_its_residual(self):
+        rng = np.random.default_rng(10)
+        H = _random_spd(rng, 10)
+        rhs = rng.normal(size=10)
+        tol = 1e-10 * np.linalg.norm(rhs)
+        _, cold = cg_solve(lambda v: H @ v, rhs, tol, 500)
+        _, warm = cg_solve(lambda v: H @ v, rhs, tol, 500,
+                           x0=np.zeros(10))
+        assert warm == cold + 1
 
     def test_max_iters_exceeded_carries_iterate(self):
         rng = np.random.default_rng(8)
@@ -150,7 +168,7 @@ class TestCgSolve:
         rng = np.random.default_rng(9)
         H = _random_spd(rng, 12)
         rhs = rng.normal(size=12)
-        x = cg_solve(lambda v: H @ v, rhs, 1e-3, 500)
+        x, _ = cg_solve(lambda v: H @ v, rhs, 1e-3, 500)
         assert np.linalg.norm(H @ x - rhs) <= 1e-3
 
 
@@ -259,8 +277,10 @@ class TestOneBlasPool:
         M = dense_matrix_from_apply(jac.apply, 10)
         H = A.gram() + 3.0 * (np.eye(10) - M) + np.eye(10) / 3.0
         rhs = rng.normal(size=10)
-        got = solve_newton_system_primal(jac, A, 3.0, rhs, gram=A.gram())
+        got, ncg = solve_newton_system_primal(jac, A, 3.0, rhs,
+                                              gram=A.gram())
         np.testing.assert_allclose(got, np.linalg.solve(H, rhs), rtol=1e-9)
+        assert ncg == 0
 
     def test_square_root_form_and_admms(self, no_scipy_factor):
         rng = np.random.default_rng(6)
