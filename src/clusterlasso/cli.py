@@ -123,16 +123,25 @@ def _record(name, instance, data, sol, alpha1=None, alpha2=None) -> RunRecord:
 def _load_problem(args):
     """Build ProblemData from --input or --scenario flags; returns (data, instance_name)."""
     if args.input is not None:
-        if args.scenario is not None:
-            raise ValueError("give either --input or --scenario, not both")
-        A, b = read_libsvm(args.input)
+        given = [flag for flag, value in (
+            ("--scenario", args.scenario), ("--k", args.k),
+            ("--seed", args.seed), ("--m-override", args.m_override))
+            if value is not None]
+        if given:
+            raise ValueError(
+                f"--input cannot be combined with {', '.join(given)}")
+        A, b = read_libsvm(args.input, args.n_features)
         return ProblemData(A=A, b=b), os.path.basename(args.input)
     if args.scenario is None:
         raise ValueError("either --input or --scenario is required")
-    spec = ScenarioSpec(scenario_id=args.scenario, k=args.k, seed=args.seed,
+    if args.n_features is not None:
+        raise ValueError("--n-features applies to --input only")
+    k = 1 if args.k is None else args.k
+    seed = 0 if args.seed is None else args.seed
+    spec = ScenarioSpec(scenario_id=args.scenario, k=k, seed=seed,
                         m_override=args.m_override)
     prob = generate_scenario(spec)
-    return prob.data, f"s{args.scenario}k{args.k}seed{args.seed}"
+    return prob.data, f"s{args.scenario}k{k}seed{seed}"
 
 
 def _apply_penalties(args, data):
@@ -269,12 +278,17 @@ def cmd_gen(args) -> int:
 
 def _add_problem_flags(p):
     p.add_argument("--input", help="LIBSVM file with the design and response")
+    p.add_argument("--n-features", type=int,
+                   help="column count of the --input design (default: its "
+                        "largest index, which drops trailing zero columns)")
     p.add_argument("--scenario", type=int, choices=range(1, 8),
                    help="synthetic scenario id")
-    p.add_argument("--k", type=int, default=1, help="replication factor")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m-override", type=int, default=None,
-                   help="total row count override for synthetic data")
+    p.add_argument("--k", type=int,
+                   help="replication factor (--scenario only; default 1)")
+    p.add_argument("--seed", type=int,
+                   help="generator seed (--scenario only; default 0)")
+    p.add_argument("--m-override", type=int,
+                   help="total row count override (--scenario only)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,13 +28,17 @@ class LibsvmParseError(ValueError):
         self.token = token
 
 
-def read_libsvm(path):
+def read_libsvm(path, n_features: Optional[int] = None):
     """Read `label idx:val ...` lines (1-based indices) into (A, b).
 
-    A is a sparse CSR DesignMatrix with n = the largest index seen; rows
-    with no features are allowed (all-zero rows).  Indices within a row may
-    come in any order but not twice.
+    A is a sparse CSR DesignMatrix with n = n_features when given (an
+    index above it is a parse error), else n = the largest index seen, so
+    trailing all-zero columns need n_features to survive a round trip.
+    Rows with no features are allowed (all-zero rows).  Indices within a
+    row may come in any order but not twice.
     """
+    if n_features is not None and n_features < 1:
+        raise ValueError("n_features must be >= 1")
     labels = []
     indptr = [0]
     indices = []
@@ -62,6 +66,10 @@ def read_libsvm(path):
                                            tok) from None
                 if j < 1:
                     raise LibsvmParseError("indices are 1-based", line_no, tok)
+                if n_features is not None and j > n_features:
+                    raise LibsvmParseError(
+                        f"index above n_features = {n_features}", line_no,
+                        tok)
                 if j in seen:
                     raise LibsvmParseError("repeated index", line_no, tok)
                 seen.add(j)
@@ -72,6 +80,8 @@ def read_libsvm(path):
     m = len(labels)
     if m == 0:
         raise LibsvmParseError("empty file", 0)
+    if n_features is not None:
+        n = n_features
     A = sp.csr_matrix(
         (np.asarray(values, dtype=np.float64),
          np.asarray(indices, dtype=np.int64),

@@ -304,10 +304,14 @@ class TestAcceptance:
             for a in objs:
                 for b in objs:
                     worst_pair = max(worst_pair, abs(eta_rel(a, b)))
+        iters = {name: [sol.outer_iters for key, sol in admm_grid.items()
+                        if key[2] == name] for name in ("d-admm", "p-admm")}
         ok = not failures and worst_ref <= 1e-4 and worst_pair <= 1e-4
         _verdict(8, "ADMM agreement with SSNAL", ok,
                  f"worst eta_rel vs reference {worst_ref:.2e}, worst pairwise "
-                 f"{worst_pair:.2e}" +
+                 f"{worst_pair:.2e}, iterations " +
+                 ", ".join(f"{name} {sum(its)} (worst {max(its)})"
+                           for name, its in iters.items()) +
                  (f", failed: {failures}" if failures else ""))
 
     def test_criterion_09_inner_newton_tail_is_superlinear(self, newton_grid):

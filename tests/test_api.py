@@ -35,10 +35,18 @@ def test_solver_config_has_no_schedule_knobs():
 
 
 def test_first_order_config_has_no_constant_knobs():
+    from clusterlasso import first_order
+
     fields = {f.name for f in dataclasses.fields(FirstOrderConfig)}
+    assert fields == {"tol", "ref_pobj", "max_iters", "max_time", "variant",
+                      "adaptive_sigma", "check_every"}
     for gone in ("kappa", "sigma", "lin_tau", "cg", "tol_metric"):
         assert gone not in fields
         assert not hasattr(FirstOrderConfig(), gone)
+    # the sigma-balancing cadence is a module constant, and balancing is on
+    # unless a caller turns it off
+    assert isinstance(first_order.SIGMA_EVERY, int)
+    assert FirstOrderConfig().adaptive_sigma
 
 
 def test_apg_restart_is_not_a_setting():

@@ -8,8 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clusterlasso.cli import SOLVER_NAMES, main, read_vector, write_vector
-from clusterlasso.data import read_libsvm
+from clusterlasso.cli import (SOLVER_NAMES, _run_solver, main, read_vector,
+                              write_vector)
+from clusterlasso.data import (ScenarioSpec, generate_scenario,
+                               penalties_from_alphas, read_libsvm)
+from clusterlasso.first_order import (FirstOrderConfig, d_admm_solve,
+                                      p_admm_solve)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -155,15 +159,38 @@ class TestSolve:
 
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_input_with_scenario_exits_2(self, capsys, tmp_path, command):
+        # --scenario and each flag that only describes a scenario instance
         libsvm = tmp_path / "toy.libsvm"
         libsvm.write_text("1.0 1:1.0\n-1.0 2:1.0\n0.5 1:1.0 2:1.0\n")
-        argv = ["--input", str(libsvm), "--scenario", "7", "--k", "3"]
-        if command == "solve":
-            argv += ["--alpha1", "1e-2", "--alpha2", "1e-2"]
-        code, out, err = _run(capsys, command, *argv)
+        for flags in (["--scenario", "7", "--k", "3"], ["--k", "3"],
+                      ["--seed", "9"], ["--m-override", "50"]):
+            argv = ["--input", str(libsvm), *flags]
+            if command == "solve":
+                argv += ["--alpha1", "1e-2", "--alpha2", "1e-2"]
+            code, out, err = _run(capsys, command, *argv)
+            assert code == 2, flags
+            assert out == ""
+            assert "--input" in err and flags[0] in err
+
+    def test_n_features_keeps_trailing_zero_columns(self, capsys, tmp_path):
+        libsvm = tmp_path / "toy.libsvm"
+        libsvm.write_text("1.0 1:1.0\n-1.0 2:1.0\n0.5 1:1.0 2:1.0\n")
+        argv = ["solve", "--input", str(libsvm), "--alpha1", "1e-2",
+                "--alpha2", "1e-2", "--solver", "ssnal-d"]
+        assert json.loads(_run(capsys, *argv)[1])["n"] == 2
+        code, out, _ = _run(capsys, *argv, "--n-features", "4")
+        assert code == 0
+        assert json.loads(out)["n"] == 4
+        code, out, err = _run(capsys, *argv, "--n-features", "1")
         assert code == 2
-        assert out == ""
-        assert "--input" in err and "--scenario" in err
+        assert "n_features" in err
+
+    def test_n_features_with_scenario_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys, "solve", "--scenario", "1", "--n-features", "8",
+            "--alpha1", "1e-2", "--alpha2", "1e-2")
+        assert code == 2
+        assert "--n-features" in err
 
     def test_missing_problem_exits_2(self, capsys):
         code, _, err = _run(capsys, "solve", "--alpha1", "0.1",
@@ -193,6 +220,22 @@ class TestSolve:
             "--solver", "apg", "--max-iters", "3", "--tol", "1e-12")
         assert code == 1
         assert json.loads(out)["status"] == "max_iters"
+
+
+class TestFirstOrderSchedule:
+    @pytest.mark.parametrize("name, runner, variant", [
+        ("admm-d", d_admm_solve, "exact"),
+        ("iadmm", d_admm_solve, "inexact"),
+        ("admm-p", p_admm_solve, "exact")])
+    def test_admm_solvers_balance_sigma(self, name, runner, variant):
+        # the CLI's ADMMs run the adaptive sigma schedule the benchmark runs
+        data = generate_scenario(ScenarioSpec(7, 2, 1, m_override=400)).data
+        data = data.with_penalties(penalties_from_alphas(1e-3, 1e-3, data))
+        cli_sol = _run_solver(name, data, 1e-5, 60.0, None)
+        sol = runner(data, FirstOrderConfig(
+            tol=1e-5, max_time=60.0, variant=variant, adaptive_sigma=True))
+        assert cli_sol.status == sol.status == "converged"
+        assert cli_sol.outer_iters == sol.outer_iters
 
 
 class TestBench:

@@ -83,6 +83,16 @@ class TestLibsvmRead:
         with pytest.raises(LibsvmParseError):
             read_libsvm(p)
 
+    def test_index_above_n_features_rejected(self, tmp_path):
+        p = tmp_path / "wide.libsvm"
+        p.write_text("1.0 1:1.0\n2.0 2:1.0 4:3.0\n")
+        with pytest.raises(LibsvmParseError) as ei:
+            read_libsvm(p, n_features=3)
+        assert ei.value.line_no == 2
+        assert "4:3.0" in str(ei.value)
+        with pytest.raises(ValueError, match="n_features"):
+            read_libsvm(p, n_features=0)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.libsvm"
         p.write_text("")
@@ -91,6 +101,17 @@ class TestLibsvmRead:
 
 
 class TestLibsvmRoundTrip:
+    def test_trailing_zero_columns_kept_with_n_features(self, tmp_path):
+        # LIBSVM stores no column count: without n_features the last,
+        # all-zero column is lost
+        M = np.array([[1.0, 2.0, 0.0], [0.5, 0.0, 0.0]])
+        p = tmp_path / "zcol.libsvm"
+        write_libsvm(p, M, np.ones(2))
+        assert read_libsvm(p)[0].shape == (2, 2)
+        A, _ = read_libsvm(p, n_features=3)
+        assert A.shape == (2, 3)
+        np.testing.assert_array_equal(A.toarray(), M)
+
     def test_dense_matrix(self, tmp_path):
         rng = np.random.default_rng(0)
         M = np.round(rng.normal(size=(5, 4)), 6)

@@ -239,6 +239,28 @@ class TestAdmmDetails:
             sol = runner(data, cfg)
             assert sol.status == CONVERGED
 
+    def test_fixed_sigma_never_rebalances(self, monkeypatch):
+        def fail(*_):
+            raise AssertionError("sigma rebalanced with adaptive_sigma off")
+
+        monkeypatch.setattr(first_order, "_sigma_scale", fail)
+        data = _problem(9)
+        cfg = FirstOrderConfig(tol=1e-8, adaptive_sigma=False)
+        for runner in (d_admm_solve, p_admm_solve):
+            assert runner(data, cfg).status == CONVERGED
+
+    @pytest.mark.parametrize("runner, every_100", [(d_admm_solve, 390),
+                                                   (p_admm_solve, 230)],
+                             ids=["admm_d", "admm_p"])
+    def test_frequent_balancing_cuts_iterations(self, runner, every_100):
+        # every_100: the iteration count when sigma was balanced only every
+        # 100 iterations, so it took hundreds of steps to leave SIGMA0
+        data = generate_scenario(ScenarioSpec(7, 2, 1, m_override=400)).data
+        data = data.with_penalties(penalties_from_alphas(1e-3, 1e-3, data))
+        sol = runner(data, FirstOrderConfig(tol=1e-5, check_every=10))
+        assert sol.status == CONVERGED
+        assert sol.outer_iters <= 0.7 * every_100
+
     def test_check_every_skips_metric_evaluations(self):
         data = _problem(10)
         sol = d_admm_solve(data, FirstOrderConfig(tol=1e-8, check_every=10))
