@@ -51,6 +51,7 @@ class RunRecord:
     eta_rel: Optional[float] = None
     alpha1: Optional[float] = None
     alpha2: Optional[float] = None
+    form: Optional[str] = None
 
 
 def write_vector(path, x) -> None:
@@ -117,7 +118,7 @@ def _record(name, instance, data, sol, alpha1=None, alpha2=None) -> RunRecord:
         pobj=sol.pobj, dobj=sol.dobj, eta_gap=sol.eta_gap, eta_d=sol.eta_d,
         eta_kkt=sol.eta_kkt, nnz=nnz(sol.x), gnnz=gnnz(sol.x),
         train_mse=float(r @ r) / data.m, eta_rel=sol.eta_rel,
-        alpha1=alpha1, alpha2=alpha2)
+        alpha1=alpha1, alpha2=alpha2, form=sol.form)
 
 
 def _load_problem(args):

@@ -197,7 +197,9 @@ def augmented_lagrangian(make_step, data, cfg) -> "Solution":
     (residuals, cg_iters, accepted), applying the multiplier update only
     when accepted; k counts accepted updates and drives `tolerances`.
     step.measures() gives (pobj, dobj, eta_gap, eta_d, eta_kkt) at the
-    iterates step.x, step.xi, step.u, step.z.
+    iterates step.x, step.xi, step.u, step.z.  Solution.form records the
+    problem the steps ran on: "square_root" when the form has a factor,
+    else "given".
 
     sigma starts at step.sigma0, which each formulation picks from the
     data.  An accepted step grows it; a rejected one keeps the iterates,
@@ -245,7 +247,8 @@ def augmented_lagrangian(make_step, data, cfg) -> "Solution":
         pobj=pobj, dobj=dobj, eta_gap=e_gap, eta_d=e_d, eta_kkt=e_kkt,
         status=status, outer_iters=outer, total_newton_iters=total_newton,
         total_cg_iters=total_cg, wall_time=time.perf_counter() - t0,
-        newton_residuals=newton_residuals)
+        newton_residuals=newton_residuals,
+        form="given" if form.factor is None else "square_root")
 
 
 @dataclass
@@ -276,7 +279,8 @@ class Solution:
     """Solver output: primal/dual iterates, optimality measures, counters.
 
     newton_residuals holds one list of inner gradient norms per outer
-    iteration (Newton solvers only).
+    iteration, and form the problem the outer loop ran on: "square_root"
+    (`SquareRootForm` factored A^T A) or "given" (Newton solvers only).
     """
 
     x: np.ndarray
@@ -295,6 +299,7 @@ class Solution:
     z: Optional[np.ndarray] = None
     eta_rel: Optional[float] = None
     newton_residuals: List[List[float]] = field(default_factory=list)
+    form: Optional[str] = None
 
     @property
     def max_eta(self) -> float:

@@ -96,7 +96,7 @@ def build_jacobian(pr: ProxResult, pen: Penalties) -> ProxJacobian:
             pool_idx=empty_i, pool_offsets=empty_i, pool_sizes=empty_i)
 
     part = pr.partition
-    if part is None or int(np.sum(part.length)) != n:
+    if int(np.sum(part.length)) != n:
         raise ValueError("inconsistent ProxResult: partition does not cover n")
     vals = part.value
     lens = part.length

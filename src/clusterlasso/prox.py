@@ -38,10 +38,11 @@ class Penalties:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Constant blocks of a non-increasing projection, left to right.
+    """Constant blocks of a non-increasing vector, left to right: its runs
+    of exactly equal values (`BlockPartition.of`).
 
-    start/length index the sorted vector; value holds each block's common
-    projected value.  Values are strictly decreasing across blocks.
+    start/length index the vector; value holds each block's common value.
+    Values are strictly decreasing across blocks.
     """
 
     start: np.ndarray
@@ -55,20 +56,38 @@ class BlockPartition:
     def expand(self) -> np.ndarray:
         return np.repeat(self.value, self.length)
 
+    @classmethod
+    def of(cls, v: np.ndarray) -> "BlockPartition":
+        """The runs of equal values of a non-increasing vector v."""
+        cut = np.flatnonzero(v[1:] != v[:-1]) + 1
+        start = np.concatenate(([0], cut))
+        return cls(start=start, length=np.concatenate((cut, [v.size])) - start,
+                   value=v[start])
+
 
 @dataclass(frozen=True)
 class ProxResult:
     """Prox evaluation plus the sorted structure the Newton code reuses.
 
-    perm maps sorted position -> original index; it is None on the rho = 0
-    shortcut path (no sorting performed, partition is None as well).
+    One evaluation holds the prox, the pairwise prox s_rho it thresholds,
+    perm and y_absmax = ||y||_inf.  perm maps sorted position -> original
+    index; it is None on the shortcut path (rho = 0 or n = 1), where
+    nothing is sorted.
     """
 
     prox: np.ndarray
     s_rho: np.ndarray
     perm: Optional[np.ndarray]
-    partition: Optional[BlockPartition]
     y_absmax: float
+
+    @property
+    def partition(self) -> Optional[BlockPartition]:
+        """The blocks of the sorted pairwise prox s_rho[perm], built anew
+        on each access (None when perm is): only the Jacobian reads them,
+        so the iterations that never build one skip the cost."""
+        if self.perm is None:
+            return None
+        return BlockPartition.of(self.s_rho[self.perm])
 
 
 def ordered_weights(n: int) -> np.ndarray:
@@ -129,32 +148,30 @@ def pav_nonincreasing(v: np.ndarray):
             ts, tc = s, 1
     sums.append(ts)
     counts.append(tc)
-    return np.array(sums), np.array(counts, dtype=np.int64)
+    return (np.fromiter(sums, np.float64, len(sums)),
+            np.fromiter(counts, np.int64, len(counts)))
 
 
 def project_nonincreasing(v: np.ndarray):
     """Euclidean projection onto {x : x_1 >= x_2 >= ... >= x_n}.
 
-    Returns (projection, BlockPartition).  Adjacent blocks that come out of
-    the sweep with exactly equal means are coalesced in the partition so
-    block values are strictly decreasing; the projection is unchanged.
+    Returns (projection, BlockPartition).  The partition is the
+    projection's runs of equal values, so adjacent sweep blocks with
+    exactly equal means share one block and block values are strictly
+    decreasing.
     """
     v = np.ascontiguousarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
+    proj = _project(v)
+    return proj, BlockPartition.of(proj)
+
+
+def _project(v: np.ndarray) -> np.ndarray:
+    """The projection of a nonempty contiguous float64 vector, by one
+    `pav_nonincreasing` sweep."""
     sums, counts = pav_nonincreasing(v)
-    means = sums / counts
-    keep = np.empty(means.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(means[1:], means[:-1], out=keep[1:])
-    if not keep.all():
-        first = np.flatnonzero(keep)
-        counts = np.add.reduceat(counts, first)
-        means = means[first]
-    starts = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    proj = np.repeat(means, counts)
-    return proj, BlockPartition(start=starts, length=counts, value=means)
+    return np.repeat(sums / counts, counts)
 
 
 def prox_pairwise(y: np.ndarray, rho: float):
@@ -163,31 +180,32 @@ def prox_pairwise(y: np.ndarray, rho: float):
     Returns (s, perm, partition) with s[perm] non-increasing.  The output
     keeps the input's ordering: sort y (stable, descending), shift by
     rho * ordered_weights, project onto the non-increasing cone, unsort.
-    For rho = 0 the map is the identity and perm/partition are None.
+    partition holds the runs of equal values of s[perm].  For rho = 0 the
+    map is the identity and perm/partition are None.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if rho == 0.0 or y.size == 1:
-        return y.copy(), None, None
-    perm = np.argsort(-y, kind="stable")
-    shifted = y[perm] - rho * ordered_weights(y.size)
-    proj, part = project_nonincreasing(shifted)
-    s = np.empty_like(y)
-    s[perm] = proj
-    return s, perm, part
+    pr = prox_clustered(y, Penalties(0.0, rho))
+    return pr.s_rho, pr.perm, pr.partition
 
 
 def prox_clustered(y: np.ndarray, pen: Penalties) -> ProxResult:
-    """Prox of the full penalty: soft-threshold the pairwise prox output."""
+    """Prox of the full penalty: soft-threshold the pairwise prox output.
+
+    Builds the prox, s_rho and perm, and reads ||y||_inf off the sorted
+    ends; `ProxResult.partition` is left to the caller that reads it.
+    """
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
         raise ValueError("y must be nonempty")
-    s, perm, part = prox_pairwise(y, pen.rho)
+    if pen.rho == 0.0 or y.size == 1:
+        s, perm = y.copy(), None
+        y_absmax = float(np.max(np.abs(y)))
+    else:
+        perm = np.argsort(-y, kind="stable")
+        s = np.empty_like(y)
+        s[perm] = _project(y[perm] - pen.rho * ordered_weights(y.size))
+        y_absmax = float(max(abs(y[perm[0]]), abs(y[perm[-1]])))
     prox = soft_threshold(s, pen.beta) if pen.beta != 0.0 else s.copy()
-    y_absmax = float(np.max(np.abs(y)))
-    return ProxResult(prox=prox, s_rho=s, perm=perm, partition=part,
-                      y_absmax=y_absmax)
+    return ProxResult(prox=prox, s_rho=s, perm=perm, y_absmax=y_absmax)
 
 
 def prox_scaled(y: np.ndarray, t: float, pen: Penalties) -> np.ndarray:

@@ -84,6 +84,7 @@ class TestSolve:
         assert rec["eta_kkt"] <= 1e-6
         assert rec["nnz"] == 7
         assert rec["gnnz"] == 4
+        assert rec["form"] == "square_root"
 
     def test_out_files(self, capsys, tmp_path):
         out = tmp_path / "run.json"
@@ -254,6 +255,9 @@ class TestBench:
         assert all(float(r["eta_rel"]) == 0.0 for r in ref_rows)
         base_rows = [r for r in rows if r["solver"] == "admm-p"]
         assert all(abs(float(r["eta_rel"])) <= 1e-4 for r in base_rows)
+        # the SSNAL rows name the problem they solved; 64 x 8 is tall
+        assert {r["solver"]: r["form"] for r in rows} == {
+            "ssnal-d": "square_root", "ssnal-p": "square_root", "admm-p": ""}
 
     def test_stdout_default(self, capsys):
         code, out, _ = _run(

@@ -394,6 +394,21 @@ class TestSquareRootForm:
         np.testing.assert_allclose(got.xi, want.xi, atol=1e-7)
 
 
+    @pytest.mark.parametrize("kind, want", [
+        ("tall", "square_root"), ("zero_column", "given"), ("wide", "given")])
+    @pytest.mark.parametrize("solver", [solve, solve_primal],
+                             ids=["dual", "primal"])
+    def test_solution_reports_form(self, solver, kind, want):
+        # a zero column gives A^T A an exact zero pivot, so the tall
+        # design is solved as given
+        data = _tall(8, *((12, 40) if kind == "wide" else (40, 8)))
+        if kind == "zero_column":
+            data = _data(data.A.raw * (np.arange(8) != 3), data.b)
+        sol = solver(data)
+        assert sol.status == CONVERGED
+        assert sol.form == want
+
+
 def _not_positive(*args, **kwargs):
     raise np.linalg.LinAlgError("not positive definite")
 

@@ -173,10 +173,12 @@ class TestCgSolve:
 
 
 class TestCholesky:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_solves_match_numpy(self, seed):
+    @pytest.mark.parametrize(
+        "seed, n", [pytest.param(s, None, id=str(s)) for s in range(6)]
+        + [pytest.param(6, n, id=f"n{n}") for n in (135, 200, 800)])
+    def test_solves_match_numpy(self, seed, n):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 60))
+        n = n or int(rng.integers(2, 60))
         H = _random_spd(rng, n, cond=1e3)
         shift = rng.uniform(0.0, 2.0, size=n) if seed % 2 else 0.5
         rhs = rng.normal(size=n)

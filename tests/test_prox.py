@@ -9,10 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterlasso import first_order, ssnal_dual
+from clusterlasso.common import CONVERGED
+from clusterlasso.data import (ScenarioSpec, generate_scenario,
+                               penalties_from_alphas)
 from clusterlasso.prox import (
     BlockPartition,
     Penalties,
     ordered_weights,
+    pav_nonincreasing,
     penalty_value,
     project_nonincreasing,
     prox_clustered,
@@ -307,3 +312,68 @@ class TestBlockPartition:
             value=np.array([5.0, 1.0]))
         np.testing.assert_array_equal(part.expand(), [5.0, 5.0, 1.0])
         assert part.nblocks == 2
+
+
+tied_vecs = st.lists(st.floats(-5, 5), min_size=1, max_size=60).map(
+    lambda v: np.round(np.array(v), 1))
+
+
+class TestPartitionOnDemand:
+    """`prox_clustered` leaves the partition to `ProxResult.partition`,
+    which only the Jacobian reads."""
+
+    @given(tied_vecs, st.floats(0, 3), st.sampled_from([0.0, 1e-6, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_prox_pairwise_and_the_sweep(self, y, beta, rho):
+        res = prox_clustered(y, Penalties(beta, rho))
+        assert res.y_absmax == np.max(np.abs(y))
+        part, want = res.partition, prox_pairwise(y, rho)[2]
+        if rho == 0.0 or y.size == 1:
+            assert part is None and want is None
+            return
+        for name in ("start", "length", "value"):
+            got, ref = getattr(part, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        # the sweep's blocks, with adjacent exactly equal means merged
+        sums, counts = pav_nonincreasing(
+            y[res.perm] - rho * ordered_weights(y.size))
+        means = sums / counts
+        first = np.flatnonzero(np.r_[True, means[1:] != means[:-1]])
+        np.testing.assert_array_equal(part.length,
+                                      np.add.reduceat(counts, first))
+        np.testing.assert_array_equal(part.value, means[first])
+
+
+@pytest.fixture
+def partition_builds(monkeypatch):
+    """One entry per BlockPartition made while the test runs."""
+    calls = []
+    init = BlockPartition.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockPartition, "__init__", counted)
+    return calls
+
+
+def _scenario7():
+    data = generate_scenario(ScenarioSpec(7, 1, 1, m_override=100)).data
+    return data.with_penalties(penalties_from_alphas(1e-3, 1e-3, data))
+
+
+class TestPartitionBuilds:
+    @pytest.mark.parametrize("solver", [first_order.apg_solve,
+                                        first_order.p_admm_solve,
+                                        first_order.d_admm_solve])
+    def test_first_order_builds_none(self, partition_builds, solver):
+        sol = solver(_scenario7(),
+                     first_order.FirstOrderConfig(tol=1e-5, check_every=10))
+        assert sol.status == CONVERGED
+        assert partition_builds == []
+
+    def test_dual_builds_one_per_newton_step(self, partition_builds):
+        sol = ssnal_dual.solve(_scenario7())
+        assert sol.status == CONVERGED
+        assert len(partition_builds) == sol.total_newton_iters > 0
