@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import ndtri
 
 from .linalg import DesignMatrix
@@ -31,16 +30,18 @@ class LibsvmParseError(ValueError):
 def read_libsvm(path, n_features: Optional[int] = None):
     """Read `label idx:val ...` lines (1-based indices) into (A, b).
 
-    A is a sparse CSR DesignMatrix with n = n_features when given (an
-    index above it is a parse error), else n = the largest index seen, so
-    trailing all-zero columns need n_features to survive a round trip.
-    Rows with no features are allowed (all-zero rows).  Indices within a
-    row may come in any order but not twice.
+    A is a DesignMatrix on a dense m x n float64 array in Fortran order,
+    with n = n_features when given (an index above it is a parse error),
+    else n = the largest index seen, so trailing all-zero columns need
+    n_features to survive a round trip.  Absent entries are zeros, and a
+    design too large for memory raises numpy's MemoryError.  Rows with no
+    features are allowed (all-zero rows).  Indices within a row may come
+    in any order but not twice.
     """
     if n_features is not None and n_features < 1:
         raise ValueError("n_features must be >= 1")
     labels = []
-    indptr = [0]
+    rows = []
     indices = []
     values = []
     n = 0
@@ -73,28 +74,26 @@ def read_libsvm(path, n_features: Optional[int] = None):
                 if j in seen:
                     raise LibsvmParseError("repeated index", line_no, tok)
                 seen.add(j)
+                rows.append(len(labels) - 1)
                 indices.append(j - 1)
                 values.append(v)
                 n = max(n, j)
-            indptr.append(len(indices))
     m = len(labels)
     if m == 0:
         raise LibsvmParseError("empty file", 0)
     if n_features is not None:
         n = n_features
-    A = sp.csr_matrix(
-        (np.asarray(values, dtype=np.float64),
-         np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(m, n))
+    A = np.zeros((m, n), order="F")
+    A[rows, indices] = values
     return DesignMatrix(A), np.asarray(labels, dtype=np.float64)
 
 
 def write_libsvm(path, A, b) -> None:
-    """Write (A, b) in LIBSVM format; zeros are skipped, indices 1-based."""
+    """Write (A, b) in LIBSVM format; zeros are skipped, indices 1-based.
+    A may be an array, a DesignMatrix or a scipy sparse matrix (anything
+    with `toarray`)."""
     b = np.asarray(b, dtype=np.float64)
-    dense = (A.toarray() if isinstance(A, DesignMatrix) or sp.issparse(A)
-             else np.asarray(A))
+    dense = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
     with open(path, "w", encoding="ascii") as fh:
         for i in range(dense.shape[0]):
             row = dense[i]

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .common import CONVERGED, MAX_ITERS, MAX_TIME, Solution
 from .linalg import cg_solve, cho_solve, cholesky, estimate_lipschitz
@@ -136,8 +135,6 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
             atb = A.tmatvec(b)
         else:
             gram = A.raw @ A.raw.T
-            if sp.issparse(gram):
-                gram = np.asarray(gram.todense())
         chol = cholesky(sigma * gram, 1.0)
 
     cg_iters = 0
@@ -254,10 +251,9 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     t0 = time.perf_counter()
     deadline = t0 + cfg.max_time
 
-    # on a dense tall design one product with A^T A replaces two with A in
-    # each gradient, power iteration and stopping check
-    gram, atb = ((A.gram(), A.tmatvec(b)) if not A.is_sparse and n < A.m
-                 else (None, None))
+    # on a tall design one product with A^T A replaces two with A in each
+    # gradient, power iteration and stopping check
+    gram, atb = (A.gram(), A.tmatvec(b)) if n < A.m else (None, None)
     L = (lipschitz if lipschitz is not None
          else estimate_lipschitz(A, gram=gram))
     if L <= 0:

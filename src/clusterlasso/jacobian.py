@@ -15,7 +15,6 @@ to form the thin factor W = AP of A M A^T = W W^T.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import DesignMatrix
 from .prox import Penalties, ProxResult
@@ -135,16 +134,7 @@ def design_factors(jac: ProxJacobian, A: DesignMatrix):
 
     W holds the columns of A at the free coordinates, then one column per
     kept pooled run: the run's columns summed and scaled by 1/sqrt(run
-    size).  Dense A is gathered through `restrict` on the row-major view
-    A^T, cost O(m (|free| + pooled mass)).  Sparse A gives a sparse W by
-    one product with the n x k sparse P.
+    size).  It is gathered through `restrict` on the row-major view A^T,
+    cost O(m (|free| + pooled mass)).
     """
-    if not A.is_sparse:
-        return jac.restrict(A.raw.T).T
-    # a free coordinate is a pool of size 1
-    sizes = np.r_[np.ones(jac.free_idx.shape[0], np.int64), jac.pool_sizes]
-    P = sp.csr_matrix((np.repeat(1.0 / np.sqrt(sizes), sizes),
-                       (np.r_[jac.free_idx, jac.pool_idx],
-                        np.repeat(np.arange(sizes.size), sizes))),
-                      shape=(A.n, sizes.size))
-    return A.raw @ P
+    return jac.restrict(A.raw.T).T

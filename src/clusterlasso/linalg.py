@@ -1,12 +1,10 @@
 """Design-matrix wrapper and the small linear-algebra toolkit the solvers use.
 
-DesignMatrix hides the dense/sparse split: dense data is kept column-major
-(its transpose is then a row-major view, from which the thin Newton factor
-gathers rows), sparse data as CSR with sorted indices.
+DesignMatrix keeps the design dense and column-major: its transpose is then
+a row-major view, from which the thin Newton factor gathers rows.
 """
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 
@@ -22,26 +20,23 @@ class MaxItersExceeded(RuntimeError):
 
 
 class DesignMatrix:
-    """m-by-n design matrix, dense (Fortran order) or sparse CSR.
+    """m-by-n dense design matrix, float64 in Fortran order (an array
+    already in that layout is kept, not copied).
 
     Requires m >= 1 and n >= 2: with a single column the pairwise penalty
-    is vacuous.  All entries must be finite.
+    is vacuous.  All entries must be finite.  A sparse matrix is refused:
+    the solvers exploit the sparsity of the prox's Jacobian, not of A.
     """
 
     def __init__(self, mat):
-        if sp.issparse(mat):
-            raw = sp.csr_matrix(mat, dtype=np.float64)
-            raw.sort_indices()
-            if raw.nnz and not np.all(np.isfinite(raw.data)):
-                raise ValueError("design matrix entries must be finite")
-            self._sparse = True
-        else:
-            raw = np.asfortranarray(mat, dtype=np.float64)
-            if raw.ndim != 2:
-                raise ValueError("design matrix must be 2-dimensional")
-            if not np.all(np.isfinite(raw)):
-                raise ValueError("design matrix entries must be finite")
-            self._sparse = False
+        if hasattr(mat, "toarray"):
+            raise ValueError(
+                "design matrix must be a dense array; pass M.toarray()")
+        raw = np.asfortranarray(mat, dtype=np.float64)
+        if raw.ndim != 2:
+            raise ValueError("design matrix must be 2-dimensional")
+        if not np.all(np.isfinite(raw)):
+            raise ValueError("design matrix entries must be finite")
         m, n = raw.shape
         if m < 1:
             raise ValueError("design matrix needs at least one row")
@@ -55,30 +50,21 @@ class DesignMatrix:
     def shape(self):
         return (self.m, self.n)
 
-    @property
-    def is_sparse(self) -> bool:
-        return self._sparse
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.raw @ np.asarray(v, dtype=np.float64)
-        return np.asarray(out).ravel() if self._sparse else out
+        return self.raw @ np.asarray(v, dtype=np.float64)
 
     def tmatvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.raw.T @ np.asarray(v, dtype=np.float64)
-        return np.asarray(out).ravel() if self._sparse else out
+        return self.raw.T @ np.asarray(v, dtype=np.float64)
 
     def toarray(self) -> np.ndarray:
-        return self.raw.toarray() if self._sparse else np.array(self.raw)
+        return np.array(self.raw)
 
     def gram(self) -> np.ndarray:
         """Dense A^T A; only sensible for moderate n."""
-        if self._sparse:
-            return np.asarray((self.raw.T @ self.raw).todense())
         return self.raw.T @ self.raw
 
     def __repr__(self):
-        kind = "sparse" if self._sparse else "dense"
-        return f"DesignMatrix({self.m}x{self.n}, {kind})"
+        return f"DesignMatrix({self.m}x{self.n})"
 
 
 def cg_solve(apply, rhs: np.ndarray, tol: float, max_iters: int, x0=None):

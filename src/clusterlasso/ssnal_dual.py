@@ -14,7 +14,6 @@ it runs on the n x n problem (R, c) of `SquareRootForm`, where W = RP.
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .common import (DENSE_CAP, NEWTON_CG_ITERS, SolverConfig, Solution,
                      SquareRootForm, augmented_lagrangian, newton,
@@ -40,8 +39,7 @@ def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray):
     When min(k, m) <= DENSE_CAP it is solved by a Cholesky factor of the
     smaller side: by SMW through W^T W + I/sigma when k < m (cost m k^2),
     else of the m x m matrix itself.  Otherwise by CG on v + sigma W (W^T v)
-    to `newton_cg_target(rhs)` in at most NEWTON_CG_ITERS iterations.  The
-    direct routes densify a sparse W; CG keeps it sparse.
+    to `newton_cg_target(rhs)` in at most NEWTON_CG_ITERS iterations.
     """
     if jac.free_idx.shape[0] + jac.npools == 0:
         return rhs.copy(), 0
@@ -50,11 +48,10 @@ def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray):
     if min(k, m) > DENSE_CAP:
         return cg_solve(lambda v: v + sigma * (W @ (W.T @ v)), rhs,
                         newton_cg_target(rhs), NEWTON_CG_ITERS)
-    Wd = W.toarray() if sp.issparse(W) else W
     if k < m:
-        L = cholesky(Wd.T @ Wd, 1.0 / sigma)
-        return rhs - Wd @ cho_solve(L, Wd.T @ rhs), 0
-    return cho_solve(cholesky(sigma * (Wd @ Wd.T), 1.0), rhs), 0
+        L = cholesky(W.T @ W, 1.0 / sigma)
+        return rhs - W @ cho_solve(L, W.T @ rhs), 0
+    return cho_solve(cholesky(sigma * (W @ W.T), 1.0), rhs), 0
 
 
 class DualSubproblem:

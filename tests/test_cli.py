@@ -11,7 +11,8 @@ import pytest
 from clusterlasso.cli import (SOLVER_NAMES, _run_solver, main, read_vector,
                               write_vector)
 from clusterlasso.data import (ScenarioSpec, generate_scenario,
-                               penalties_from_alphas, read_libsvm)
+                               penalties_from_alphas, read_libsvm,
+                               write_libsvm)
 from clusterlasso.first_order import (FirstOrderConfig, d_admm_solve,
                                       p_admm_solve)
 
@@ -336,3 +337,46 @@ class TestAuto:
             "--alpha2", "0.1", "--solver", "auto")
         assert code == 0
         assert json.loads(out)["solver"] == "ssnal-d"
+
+
+# the first instance of each seed-1 benchmark pool: (scenario, k, m_override,
+# seed), the seed being np.random.SeedSequence(1).generate_state(1)[0]
+POOL_SPECS = {"tall": (1, 10, 20000, 1835504127),
+              "wide": (7, 20, 200, 1835504127)}
+
+
+@pytest.fixture(scope="class")
+def written_pools(tmp_path_factory):
+    """Each pool instance's training (A, b) written to a LIBSVM file,
+    with its in-memory problem."""
+    out = {}
+    for name, spec in POOL_SPECS.items():
+        data = generate_scenario(ScenarioSpec(*spec[:2], spec[3],
+                                              m_override=spec[2])).data
+        path = tmp_path_factory.mktemp(name) / f"{name}.libsvm"
+        write_libsvm(path, data.A, data.b)
+        out[name] = path, data
+    return out
+
+
+class TestInputRoundTrip:
+    @pytest.mark.parametrize("pool, solver", [
+        ("tall", "ssnal-d"), ("tall", "ssnal-p"), ("wide", "ssnal-d")])
+    def test_solve_input_repeats_the_in_memory_solve(
+            self, capsys, tmp_path, written_pools, pool, solver):
+        # the file is read into the same dense design, so a solve from it
+        # gives the in-memory solve's bytes and counts
+        path, data = written_pools[pool]
+        out = tmp_path / "run.json"
+        code, _, _ = _run(capsys, "solve", "--input", str(path),
+                          "--n-features", str(data.n), "--alpha1", "1e-3",
+                          "--alpha2", "1e-3", "--solver", solver,
+                          "--out", str(out))
+        assert code == 0
+        data = data.with_penalties(penalties_from_alphas(1e-3, 1e-3, data))
+        want = _run_solver(solver, data, 1e-6, 10800.0, None)
+        rec = json.loads(out.read_text())
+        assert read_vector(tmp_path / "run.x.bin").tobytes() == \
+            want.x.tobytes()
+        assert (rec["iterations"], rec["newton_iters"]) == \
+            (want.outer_iters, want.total_newton_iters)

@@ -27,7 +27,9 @@ class TestLibsvmRead:
         np.testing.assert_array_equal(b, [1.5, -0.5])
         np.testing.assert_allclose(
             A.toarray(), [[2.0, 0.0, 4.0], [0.0, 1.0, 0.0]])
-        assert A.is_sparse
+        # read into a dense, column-major float64 array
+        assert type(A.raw) is np.ndarray and A.raw.dtype == np.float64
+        assert A.raw.flags.f_contiguous
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "gaps.libsvm"
@@ -63,7 +65,7 @@ class TestLibsvmRead:
             read_libsvm(p)
 
     def test_repeated_index_rejected(self, tmp_path):
-        # CSR construction would add the two values up into A[0, 1] = 4
+        # the dense fill would silently keep only one of the two values
         p = tmp_path / "dup.libsvm"
         p.write_text("1.0 1:1.0\n1.0 2:1.0 2:3.0\n")
         with pytest.raises(LibsvmParseError) as ei:

@@ -157,22 +157,6 @@ class TestDesignFactors:
         np.testing.assert_allclose(W @ W.T, want, atol=1e-9)
         assert W.shape == (m, jac.free_idx.shape[0] + jac.npools)
 
-    def test_sparse_design(self):
-        import scipy.sparse as sp
-        A = DesignMatrix(sp.random(9, 7, density=0.5, random_state=1))
-        y = np.array([2.0, 2.0, 2.0, -1.0, 0.0, 5.0, 5.0])
-        pen = Penalties(0.05, 0.02)
-        jac = build_jacobian(prox_clustered(y, pen), pen)
-        W = design_factors(jac, A)
-        # the factor of a sparse design stays sparse
-        assert sp.issparse(W)
-        assert W.shape == (9, jac.free_idx.shape[0] + jac.npools)
-        dense = A.toarray()
-        np.testing.assert_allclose((W @ W.T).toarray(),
-                                   dense @ _dense(jac) @ dense.T, atol=1e-9)
-        np.testing.assert_allclose(
-            W.toarray(), design_factors(jac, DesignMatrix(dense)), atol=1e-12)
-
     def test_all_zero_jacobian_gives_empty_factors(self):
         A = DesignMatrix(np.ones((3, 4)))
         jac = _jac_at([0.1, 0.2, 0.1, 0.15], beta=10.0, rho=0.1)

@@ -106,19 +106,22 @@ class TestKernelEquivalence:
 
 class TestImportFootprint:
     def test_no_jit_or_scipy_optimize(self):
-        """Importing the package loads neither numba nor scipy.optimize.
+        """Importing the package loads neither numba, scipy.optimize nor
+        scipy.sparse.
 
         scipy.optimize pulls in scipy.spatial, scipy.fft and
         scipy.sparse.linalg, which raises a solver process's peak RSS by
-        about a fifth on the small benchmark instances.
+        about a fifth on the small benchmark instances.  The design is
+        dense, so nothing needs scipy.sparse, which alone adds about
+        1.7 MB of peak RSS on top of scipy.linalg and scipy.special.
         """
         code = (
             "import importlib, pkgutil, sys\n"
             "import clusterlasso\n"
             "for m in pkgutil.iter_modules(clusterlasso.__path__):\n"
             "    importlib.import_module('clusterlasso.' + m.name)\n"
-            "loaded = sorted(n for n in ('numba', 'scipy.optimize')\n"
-            "                if n in sys.modules)\n"
+            "loaded = sorted(n for n in ('numba', 'scipy.optimize',\n"
+            "                            'scipy.sparse') if n in sys.modules)\n"
             "assert not loaded, loaded\n"
         )
         src = os.path.dirname(os.path.dirname(clusterlasso.__file__))

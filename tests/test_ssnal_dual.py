@@ -17,6 +17,8 @@ from clusterlasso.data import (
     ScenarioSpec,
     generate_scenario,
     penalties_from_alphas,
+    read_libsvm,
+    write_libsvm,
 )
 from clusterlasso.jacobian import build_jacobian
 from clusterlasso.linalg import DesignMatrix
@@ -144,7 +146,6 @@ class TestSubproblem:
 class TestNewtonSystem:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_dense_solve(self, seed):
-        # each design and its CSR twin, whose thin factor W is sparse
         rng = np.random.default_rng(seed)
         m = int(rng.integers(3, 14))
         n = int(rng.integers(2, 14))
@@ -157,10 +158,9 @@ class TestNewtonSystem:
         H = np.eye(m) + sigma * Ad @ M @ Ad.T
         rhs = rng.normal(size=m)
         want = np.linalg.solve(H, rhs)
-        for A in (DesignMatrix(Ad), DesignMatrix(sp.csr_matrix(Ad))):
-            got, ncg = solve_newton_system(jac, A, sigma, rhs)
-            np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
-            assert ncg == 0
+        got, ncg = solve_newton_system(jac, DesignMatrix(Ad), sigma, rhs)
+        np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
+        assert ncg == 0
 
     def test_dense_m_route_on_wide_design(self):
         # k = |free| + pools >= m: the m x m matrix is assembled from W W^T
@@ -174,10 +174,9 @@ class TestNewtonSystem:
         M = dense_matrix_from_apply(jac.apply, n)
         rhs = rng.normal(size=m)
         want = np.linalg.solve(np.eye(m) + 2.0 * Ad @ M @ Ad.T, rhs)
-        for A in (DesignMatrix(Ad), DesignMatrix(sp.csr_matrix(Ad))):
-            got, ncg = solve_newton_system(jac, A, 2.0, rhs)
-            np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
-            assert ncg == 0
+        got, ncg = solve_newton_system(jac, DesignMatrix(Ad), 2.0, rhs)
+        np.testing.assert_allclose(got, want, atol=1e-8, rtol=1e-8)
+        assert ncg == 0
 
     def test_identity_when_jacobian_vanishes(self):
         A = DesignMatrix(np.ones((3, 4)))
@@ -191,23 +190,20 @@ class TestNewtonSystem:
     def test_cg_route_agrees_with_direct(self, monkeypatch):
         rng = np.random.default_rng(77)
         m, n = 10, 9
-        Ad = rng.normal(size=(m, n))
+        A = DesignMatrix(rng.normal(size=(m, n)))
         y = rng.normal(size=n)
         pen = Penalties(0.05, 0.02)
         jac = build_jacobian(prox_clustered(y, pen), pen)
         rhs = rng.normal(size=m)
-        # the CSR twin's direct solve densifies its W; CG keeps it sparse
-        designs = (DesignMatrix(Ad), DesignMatrix(sp.csr_matrix(Ad)))
-        direct = [solve_newton_system(jac, A, 1.5, rhs)[0] for A in designs]
+        direct, _ = solve_newton_system(jac, A, 1.5, rhs)
         # force the CG branch by shrinking the dense-matrix cap, and
         # tighten its residual target
         monkeypatch.setattr(ssnal_dual, "DENSE_CAP", 1)
         monkeypatch.setattr(common, "ETA_BAR", 1e-12)
         monkeypatch.setattr(common, "TAU", 1.0)
-        for A, want in zip(designs, direct):
-            viacg, ncg = solve_newton_system(jac, A, 1.5, rhs)
-            np.testing.assert_allclose(viacg, want, atol=1e-6)
-            assert ncg > 0
+        viacg, ncg = solve_newton_system(jac, A, 1.5, rhs)
+        np.testing.assert_allclose(viacg, direct, atol=1e-6)
+        assert ncg > 0
 
 
 def _inner(data, x_tilde, sigma, tol, max_newton=SsnControls().max_newton):
@@ -309,14 +305,22 @@ class TestOuterLoop:
         assert sol.status == CONVERGED
         np.testing.assert_allclose(sol.x, np.zeros(4), atol=1e-10)
 
-    def test_sparse_design_matches_dense_solve(self):
-        # n > m, so the Newton systems take the thin routes with a sparse W
-        data = _random_problem(21, m=12, n=30, beta=0.3, rho=0.1)
-        sparse = dataclasses.replace(
-            data, A=DesignMatrix(sp.csr_matrix(data.A.toarray())))
-        sol, sol_sp = solve(data), solve(sparse)
-        assert sol.status == sol_sp.status == CONVERGED
-        assert abs(sol_sp.pobj - sol.pobj) <= 1e-8 * abs(sol.pobj)
+    def test_sparse_design_matches_dense_solve(self, tmp_path):
+        # a sparse design (n > m, so the thin routes) read from a LIBSVM
+        # file is the dense design, so the solve repeats bit for bit
+        m, n = 12, 30
+        M = sp.random(m, n, density=0.4, random_state=21, format="csr")
+        b = np.random.default_rng(21).normal(size=m)
+        write_libsvm(tmp_path / "sparse.libsvm", M, b)
+        A, b_read = read_libsvm(tmp_path / "sparse.libsvm", n_features=n)
+        pen = Penalties(0.3, 0.1)
+        want = solve(ProblemData(DesignMatrix(M.toarray()), b, pen))
+        got = solve(ProblemData(A, b_read, pen))
+        assert got.status == want.status == CONVERGED
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.xi.tobytes() == want.xi.tobytes()
+        assert ((got.outer_iters, got.total_newton_iters)
+                == (want.outer_iters, want.total_newton_iters))
 
     def test_duality_gap_closes(self):
         data = _random_problem(15, m=15, n=9, beta=0.2, rho=0.05)

@@ -12,6 +12,8 @@ from clusterlasso.data import (
     ScenarioSpec,
     generate_scenario,
     penalties_from_alphas,
+    read_libsvm,
+    write_libsvm,
 )
 from clusterlasso.jacobian import build_jacobian
 from clusterlasso.linalg import DesignMatrix
@@ -254,22 +256,24 @@ class TestSolvePrimal:
         np.testing.assert_allclose(dense_route.x, cg_route.x, atol=1e-6)
 
     @pytest.mark.parametrize("m, route", [(40, "gram"), (20, "cg")])
-    def test_sparse_design_matches_dense(self, m, route):
-        # m >= 4n builds the Gram matrix from the CSR design; n < m < 4n
-        # solves the Newton systems by CG with products by the CSR design
+    def test_sparse_design_matches_dense(self, m, route, tmp_path):
+        # a sparse design read from a LIBSVM file is the dense design, so
+        # both routes repeat bit for bit: m >= 4n builds the Gram matrix,
+        # n < m < 4n solves the Newton systems by CG
         n = 8
         rng = np.random.default_rng(37)
         M = sp.random(m, n, density=0.4, random_state=37, format="csr")
         b = rng.normal(size=m)
+        write_libsvm(tmp_path / "sparse.libsvm", M, b)
+        A, b_read = read_libsvm(tmp_path / "sparse.libsvm", n_features=n)
+        assert (common.tall_gram(A) is not None) == (route == "gram")
         pen = Penalties(0.3, 0.1)
-        csr = ProblemData(DesignMatrix(M), b, pen)
-        dense = ProblemData(DesignMatrix(M.toarray()), b, pen)
-        assert csr.A.is_sparse
-        assert (common.tall_gram(csr.A) is not None) == (route == "gram")
-        want = solve_primal(dense)
-        got = solve_primal(csr)
+        want = solve_primal(ProblemData(DesignMatrix(M.toarray()), b, pen))
+        got = solve_primal(ProblemData(A, b_read, pen))
         assert got.status == want.status == CONVERGED
-        assert got.pobj == pytest.approx(want.pobj, rel=1e-10)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert ((got.outer_iters, got.total_newton_iters)
+                == (want.outer_iters, want.total_newton_iters))
 
     def test_tall_design_products_per_outer_iteration(self, monkeypatch):
         # No outer iteration and no Newton step touches a tall design: the
