@@ -21,7 +21,7 @@ from .metrics import duality_metrics, eta_kkt, eta_rel, gnnz, nnz
 from .problem import ProblemData
 from .prox import (BlockPartition, Penalties, ProxResult, ordered_weights,
                    penalty_value, project_nonincreasing, prox_clustered,
-                   prox_conjugate, prox_pairwise, prox_scaled, soft_threshold)
+                   prox_conjugate, prox_pairwise, soft_threshold)
 from .ssnal_dual import solve as solve_dual
 from .ssnal_primal import solve_primal
 
@@ -37,7 +37,7 @@ __all__ = [
     "eta_kkt", "eta_rel", "generate_scenario", "gnnz", "nnz",
     "ordered_weights", "p_admm_solve", "penalties_from_alphas",
     "penalty_value", "project_nonincreasing", "prox_clustered",
-    "prox_conjugate", "prox_pairwise", "prox_scaled", "read_libsvm",
+    "prox_conjugate", "prox_pairwise", "read_libsvm",
     "soft_threshold", "solve_dual", "solve_primal", "true_coefficients",
     "write_libsvm",
 ]

@@ -38,6 +38,7 @@ class RunRecord:
     status: str
     iterations: int
     newton_iters: int
+    phase1_iters: int
     cg_iters: int
     wall_time_s: float
     pobj: float
@@ -114,7 +115,8 @@ def _record(name, instance, data, sol, alpha1=None, alpha2=None) -> RunRecord:
         solver=name, instance=instance, m=data.m, n=data.n,
         beta=pen.beta, rho=pen.rho, status=sol.status,
         iterations=sol.outer_iters, newton_iters=sol.total_newton_iters,
-        cg_iters=sol.total_cg_iters, wall_time_s=sol.wall_time,
+        phase1_iters=sol.phase1_iters, cg_iters=sol.total_cg_iters,
+        wall_time_s=sol.wall_time,
         pobj=sol.pobj, dobj=sol.dobj, eta_gap=sol.eta_gap, eta_d=sol.eta_d,
         eta_kkt=sol.eta_kkt, nnz=nnz(sol.x), gnnz=gnnz(sol.x),
         train_mse=float(r @ r) / data.m, eta_rel=sol.eta_rel,

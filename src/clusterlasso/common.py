@@ -247,7 +247,7 @@ def augmented_lagrangian(make_step, data, cfg) -> "Solution":
         pobj=pobj, dobj=dobj, eta_gap=e_gap, eta_d=e_d, eta_kkt=e_kkt,
         status=status, outer_iters=outer, total_newton_iters=total_newton,
         total_cg_iters=total_cg, wall_time=time.perf_counter() - t0,
-        newton_residuals=newton_residuals,
+        newton_residuals=newton_residuals, phase1_iters=step.phase1_iters,
         form="given" if form.factor is None else "square_root")
 
 
@@ -300,6 +300,7 @@ class Solution:
     eta_rel: Optional[float] = None
     newton_residuals: List[List[float]] = field(default_factory=list)
     form: Optional[str] = None
+    phase1_iters: int = 0
 
     @property
     def max_eta(self) -> float:

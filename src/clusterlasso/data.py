@@ -37,21 +37,46 @@ def read_libsvm(path, n_features: Optional[int] = None):
     design too large for memory raises numpy's MemoryError.  Rows with no
     features are allowed (all-zero rows).  Indices within a row may come
     in any order but not twice.
+
+    The tokens of the whole file are converted in three numpy calls and
+    placed by one fancy-index assignment; a file they reject is scanned
+    again line by line to name its first bad token.
     """
     if n_features is not None and n_features < 1:
         raise ValueError("n_features must be >= 1")
-    labels = []
-    rows = []
-    indices = []
-    values = []
-    n = 0
+    with open(path, "r", encoding="ascii") as fh:
+        rows = [toks for toks in map(str.split, fh) if toks]
+    if not rows:
+        raise LibsvmParseError("empty file", 0)
+    pairs = [tok.partition(":") for toks in rows for tok in toks[1:]]
+    try:
+        b = np.array([toks[0] for toks in rows], dtype=np.float64)
+        cols = np.array([p[0] for p in pairs], dtype=np.int64) - 1
+        vals = np.array([p[2] for p in pairs], dtype=np.float64)
+    except ValueError:
+        _raise_first_error(path, n_features)
+    n = int(cols.max(initial=-1)) + 1 if n_features is None else n_features
+    if cols.min(initial=0) < 0 or n < int(cols.max(initial=-1)) + 1:
+        _raise_first_error(path, n_features)
+    rows_of = np.repeat(np.arange(len(rows)), [len(toks) - 1 for toks in rows])
+    A = np.zeros((len(rows), n), order="F")
+    keys = np.sort(rows_of * n + cols)
+    if np.any(keys[1:] == keys[:-1]):
+        _raise_first_error(path, n_features)
+    A[rows_of, cols] = vals
+    return DesignMatrix(A), b
+
+
+def _raise_first_error(path, n_features):
+    """Scan a file that `read_libsvm` rejected and raise LibsvmParseError
+    at its first bad token."""
     with open(path, "r", encoding="ascii") as fh:
         for line_no, line in enumerate(fh, start=1):
             toks = line.split()
             if not toks:
                 continue
             try:
-                labels.append(float(toks[0]))
+                float(toks[0])
             except ValueError:
                 raise LibsvmParseError("bad label", line_no, toks[0]) from None
             seen = set()
@@ -61,7 +86,7 @@ def read_libsvm(path, n_features: Optional[int] = None):
                     raise LibsvmParseError("missing ':'", line_no, tok)
                 try:
                     j = int(idx)
-                    v = float(val)
+                    float(val)
                 except ValueError:
                     raise LibsvmParseError("bad index:value pair", line_no,
                                            tok) from None
@@ -74,32 +99,26 @@ def read_libsvm(path, n_features: Optional[int] = None):
                 if j in seen:
                     raise LibsvmParseError("repeated index", line_no, tok)
                 seen.add(j)
-                rows.append(len(labels) - 1)
-                indices.append(j - 1)
-                values.append(v)
-                n = max(n, j)
-    m = len(labels)
-    if m == 0:
-        raise LibsvmParseError("empty file", 0)
-    if n_features is not None:
-        n = n_features
-    A = np.zeros((m, n), order="F")
-    A[rows, indices] = values
-    return DesignMatrix(A), np.asarray(labels, dtype=np.float64)
 
 
 def write_libsvm(path, A, b) -> None:
-    """Write (A, b) in LIBSVM format; zeros are skipped, indices 1-based.
-    A may be an array, a DesignMatrix or a scipy sparse matrix (anything
-    with `toarray`)."""
+    """Write (A, b) in LIBSVM format; zeros are skipped, indices 1-based,
+    values in 17 significant digits, so `read_libsvm` gives back the same
+    floats.  A may be an array, a DesignMatrix or a scipy sparse matrix
+    (anything with `toarray`)."""
     b = np.asarray(b, dtype=np.float64)
     dense = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
+    rows, cols = np.nonzero(dense)
+    feats = [f"{j}:{v:.17g}" for j, v in
+             zip((cols + 1).tolist(), dense[rows, cols].tolist())]
+    ends = np.cumsum(np.bincount(rows, minlength=dense.shape[0])).tolist()
+    lines = []
+    start = 0
+    for label, end in zip(b.tolist(), ends):
+        lines.append(" ".join([f"{label:.17g}", *feats[start:end]]) + "\n")
+        start = end
     with open(path, "w", encoding="ascii") as fh:
-        for i in range(dense.shape[0]):
-            row = dense[i]
-            nz = np.flatnonzero(row)
-            feats = " ".join(f"{j + 1}:{row[j]:.17g}" for j in nz)
-            fh.write(f"{b[i]:.17g} {feats}".rstrip() + "\n")
+        fh.writelines(lines)
 
 
 _BASE_VECTORS = {

@@ -20,9 +20,18 @@ from .prox import prox_clustered
 # ADMM multiplier step length; convergence needs kappa < (1 + sqrt 5) / 2,
 # the golden ratio, and 1.618 sits just below it
 KAPPA = 1.618
-# ADMM penalty parameter at the first iteration (adaptive_sigma moves it
-# by _sigma_scale every SIGMA_EVERY iterations)
+# primal ADMM's penalty parameter at the first iteration (adaptive_sigma
+# moves it by _sigma_scale every SIGMA_EVERY iterations)
 SIGMA0 = 1.0
+# dual ADMM's first penalty parameter is DUAL_SIGMA0_CURVATURE / L, L a
+# 10-step power estimate of lambda_max(A A^T) (1 for a zero A), so that
+# I + sigma A A^T, and with it every iteration count, is the same whatever
+# the scale of A and b.  Measured over 3e2 to 1e4 as the dual SSNAL's
+# fixed-sigma phase I (`ssnal_dual.PHASE1_ITERS`) on the benchmark's three
+# instance families and the acceptance grid: 3e3 was faster on n >> m
+# designs, but it raised adaptive d-ADMM on the seed-47 first_order pool
+# from 4290 to 4780 iterations, where 2e3 lowered it to 3700
+DUAL_SIGMA0_CURVATURE = 2e3
 # Iterations between two sigma-balancing steps.  Of 1, 2, 5 and 10, 2 took
 # the fewest ADMM iterations on the seed-1 first_order benchmark pool (dual
 # 4630, primal 1470, against 9050 and 4700 at 100) with sigma changing about
@@ -43,9 +52,12 @@ class FirstOrderConfig:
     when n < m), refactored whenever adaptive_sigma moves sigma; "inexact"
     solves by warm-started CG with a summable tolerance
     min(0.9^k, 0.1 ||rhs||).  adaptive_sigma (on by default) rebalances
-    sigma every SIGMA_EVERY iterations; off, sigma stays at SIGMA0.  The
-    ADMM step length, starting sigma, balancing cadence and CG cap are the
-    module constants KAPPA, SIGMA0, SIGMA_EVERY and CG_MAX_ITERS.
+    sigma every SIGMA_EVERY iterations; off, sigma stays where it started:
+    at SIGMA0 for the primal ADMM, at DUAL_SIGMA0_CURVATURE / L for the
+    dual one (L the power estimate of lambda_max(A A^T)).  The ADMM step
+    length, starting sigmas, balancing cadence and CG cap are the module
+    constants KAPPA, SIGMA0, DUAL_SIGMA0_CURVATURE, SIGMA_EVERY and
+    CG_MAX_ITERS.
     """
 
     tol: float = 1e-6
@@ -107,7 +119,9 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
 
     Iterates: solve (I + sigma A A^T) xi = -b + A(x - sigma u), then
     u <- proj_{dom p*}(x/sigma - A^T xi), then the multiplier step
-    x <- x - kappa sigma (A^T xi + u).
+    x <- x - kappa sigma (A^T xi + u), from sigma = DUAL_SIGMA0_CURVATURE /
+    L; L is `estimate_lipschitz` in 10 steps, from A^T A when the loop
+    holds it.
 
     Only A^T xi enters the loop.  The exact variant on a tall design
     (n < m) takes it from the n x n side: with w = x - sigma u and
@@ -122,7 +136,6 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     m, n = A.m, A.n
     t0 = time.perf_counter()
     deadline = t0 + cfg.max_time
-    sigma = SIGMA0
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
@@ -135,6 +148,9 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
             atb = A.tmatvec(b)
         else:
             gram = A.raw @ A.raw.T
+    lip = estimate_lipschitz(A, iters=10, gram=gram if gram_side else None)
+    sigma = DUAL_SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
+    if cfg.variant == "exact":
         chol = cholesky(sigma * gram, 1.0)
 
     cg_iters = 0

@@ -30,11 +30,6 @@ class Penalties:
         if self.beta < 0 or self.rho < 0:
             raise ValueError("penalty levels must be nonnegative")
 
-    def scaled(self, t: float) -> "Penalties":
-        if not np.isfinite(t) or t <= 0:
-            raise ValueError("scale factor must be positive")
-        return Penalties(t * self.beta, t * self.rho)
-
 
 @dataclass(frozen=True)
 class BlockPartition:
@@ -206,17 +201,6 @@ def prox_clustered(y: np.ndarray, pen: Penalties) -> ProxResult:
         y_absmax = float(max(abs(y[perm[0]]), abs(y[perm[-1]])))
     prox = soft_threshold(s, pen.beta) if pen.beta != 0.0 else s.copy()
     return ProxResult(prox=prox, s_rho=s, perm=perm, y_absmax=y_absmax)
-
-
-def prox_scaled(y: np.ndarray, t: float, pen: Penalties) -> np.ndarray:
-    """Prox of t * p at y, computed with scaled penalty levels.
-
-    Equals t * prox_p(y / t) by positive homogeneity of p; scaling the
-    levels instead avoids the divide/multiply round trip.
-    """
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
-    return prox_clustered(y, pen.scaled(t)).prox
 
 
 def prox_conjugate(y: np.ndarray, t: float, pen: Penalties) -> np.ndarray:

@@ -9,6 +9,13 @@ augmented-Lagrangian subproblem and recovering the primal iterate through
 the prox.  Preferred when m <= n: the Newton systems live in R^m and their
 curvature part A M A^T = W W^T has a thin factor W = AP.  On a tall design
 it runs on the n x n problem (R, c) of `SquareRootForm`, where W = RP.
+
+The solve has two phases, as in SDPNAL+ (Yang, Sun & Toh, Math. Prog.
+Comput. 7, 2015).  Phase I runs PHASE1_ITERS iterations of exact d-ADMM
+(`first_order.d_admm_solve`) at its fixed, scale-free sigma on the same
+problem; its x, xi and u are where the semismooth-Newton augmented
+Lagrangian (phase II) starts, instead of zero.  Cold, the dual spent most
+of its Newton steps far from the solution at large sigma.
 """
 
 from typing import Optional
@@ -18,6 +25,7 @@ import numpy as np
 from .common import (DENSE_CAP, NEWTON_CG_ITERS, SolverConfig, Solution,
                      SquareRootForm, augmented_lagrangian, newton,
                      newton_cg_target, tolerances)
+from .first_order import FirstOrderConfig, d_admm_solve
 from .jacobian import ProxJacobian, build_jacobian, design_factors
 from .linalg import cg_solve, cho_solve, cholesky, estimate_lipschitz
 from .metrics import duality_metrics, eta_kkt
@@ -27,6 +35,13 @@ from .prox import prox_clustered
 # sigma_0 lambda_max(A A^T) at the start of the dual's outer loop; the
 # product is unchanged when A or b is rescaled
 SIGMA0_CURVATURE = 100.0
+# exact d-ADMM iterations at fixed sigma (phase I) before the Newton
+# phase, sigma from `first_order.DUAL_SIGMA0_CURVATURE`.  Of 50 to 300,
+# measured on the benchmark's three instance families and the acceptance
+# grid: past 100, phase I cost more than the Newton steps it saved on every
+# family; 50 was level with 100 in total, faster on tall designs and the
+# grid but slower on n >> m ones
+PHASE1_ITERS = 100
 
 
 def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray):
@@ -108,6 +123,9 @@ class DualStep:
     sigma0 = SIGMA0_CURVATURE / L, L a 10-step power estimate of
     lambda_max(A^T A) (1 for a zero A), fixes the first subproblem's
     curvature sigma A M A^T whatever the scale of A and b.
+    The iterates x, xi and u start at phase I's: PHASE1_ITERS iterations
+    of exact d-ADMM with adaptive_sigma off on form.data, made here, so
+    inside the solve's timed window; phase1_iters records the count.
     """
 
     z = None
@@ -119,8 +137,11 @@ class DualStep:
         self.cfg = cfg
         lip = estimate_lipschitz(data.A, iters=10)
         self.sigma0 = SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
-        self.xi = np.zeros(data.A.m)
-        self.u = self.x = np.zeros(data.A.n)  # replaced, never updated
+        phase1 = d_admm_solve(data, FirstOrderConfig(
+            tol=cfg.tol, max_iters=PHASE1_ITERS, max_time=cfg.max_time,
+            adaptive_sigma=False, check_every=PHASE1_ITERS))
+        self.phase1_iters = phase1.outer_iters
+        self.x, self.xi, self.u = phase1.x, phase1.xi, phase1.u
 
     def inner(self, sigma, k, deadline):
         eps_k, delta_k, deltap_k = tolerances(k)

@@ -136,6 +136,8 @@ class PrimalStep:
     EPS sigma ||x||, the rounding level of the gradient's sigma x term.
     """
 
+    phase1_iters = 0
+
     def __init__(self, data: ProblemData, cfg: SolverConfig,
                  form: SquareRootForm):
         b_norm = float(np.linalg.norm(data.b))

@@ -37,7 +37,6 @@ from clusterlasso.prox import (
     prox_clustered,
     prox_conjugate,
     prox_pairwise,
-    prox_scaled,
 )
 from clusterlasso.ssnal_dual import solve as dual_solve
 from clusterlasso.ssnal_primal import solve_primal
@@ -366,8 +365,10 @@ class TestAcceptance:
             t = float(10.0 ** rng.uniform(-2, 1))
             pen = Penalties(float(rng.uniform(0.0, 2.0)),
                             float(rng.uniform(0.0, 0.5)))
-            err = np.linalg.norm(prox_scaled(y, t, pen)
-                                 + t * prox_conjugate(y / t, t, pen) - y)
+            prox_tp = prox_clustered(
+                y, Penalties(t * pen.beta, t * pen.rho)).prox
+            err = np.linalg.norm(prox_tp + t * prox_conjugate(y / t, t, pen)
+                                 - y)
             worst = max(worst, float(err) / (1.0 + float(np.linalg.norm(y))))
         ok = worst <= 1e-12
         _verdict(11, "Moreau identity", ok, f"max scaled residual {worst:.2e}")

@@ -25,6 +25,13 @@ def test_removed_warm_start_types_are_gone():
         assert not hasattr(clusterlasso.common, name)
 
 
+def test_scaled_prox_wrappers_are_gone():
+    # the solvers scale penalty levels inline; no wrapper is exported
+    assert "prox_scaled" not in clusterlasso.__all__
+    assert not hasattr(clusterlasso.prox, "prox_scaled")
+    assert not hasattr(clusterlasso.Penalties, "scaled")
+
+
 def test_solver_config_has_no_schedule_knobs():
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert fields == {"tol", "max_outer", "max_time", "ssn"}

@@ -15,6 +15,7 @@ from clusterlasso.data import (ScenarioSpec, generate_scenario,
                                write_libsvm)
 from clusterlasso.first_order import (FirstOrderConfig, d_admm_solve,
                                       p_admm_solve)
+from clusterlasso.ssnal_dual import PHASE1_ITERS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -120,6 +121,17 @@ class TestSolve:
                 "--solver", solver, "--tol", "1e-6")
             assert code == 0, solver
             assert json.loads(out)["solver"] == solver
+
+    def test_phase1_iters_reported(self, capsys):
+        # the dual SSNAL's d-ADMM phase I iterations; 0 for the others
+        want = {"ssnal-d": PHASE1_ITERS, "ssnal-p": 0, "admm-d": 0, "apg": 0}
+        for solver, iters in want.items():
+            code, out, _ = _run(
+                capsys, "solve", "--scenario", "1", "--k", "1", "--seed", "0",
+                "--m-override", "60", "--alpha1", "5e-2", "--alpha2", "1e-2",
+                "--solver", solver)
+            assert code == 0, solver
+            assert json.loads(out)["phase1_iters"] == iters, solver
 
     def test_readme_lists_the_solver_names(self):
         # the backticked names of the README's "Solvers:" paragraph, less

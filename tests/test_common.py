@@ -35,6 +35,7 @@ class ScriptedStep:
         self.calls = []
         self.x = self.xi = self.u = np.zeros(1)
         self.z = None
+        self.phase1_iters = 0
 
     def inner(self, sigma, k, deadline):
         self.calls.append((sigma, k))

@@ -95,6 +95,16 @@ class TestLibsvmRead:
         with pytest.raises(ValueError, match="n_features"):
             read_libsvm(p, n_features=0)
 
+    @pytest.mark.parametrize("tok", ["1:2:3", ":5", "3:", "4:1:"])
+    def test_malformed_pair_rejected(self, tmp_path, tok):
+        # each of these splits into the wrong number of index/value parts
+        p = tmp_path / "pair.libsvm"
+        p.write_text(f"1.0 1:1.0\n2.0 2:1.0 {tok} 7\n")
+        with pytest.raises(LibsvmParseError) as ei:
+            read_libsvm(p)
+        assert ei.value.line_no == 2
+        assert tok in str(ei.value)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.libsvm"
         p.write_text("")
@@ -113,6 +123,14 @@ class TestLibsvmRoundTrip:
         A, _ = read_libsvm(p, n_features=3)
         assert A.shape == (2, 3)
         np.testing.assert_array_equal(A.toarray(), M)
+
+    def test_text_layout(self, tmp_path):
+        # label, then the nonzero entries as index:value, 17 digits each;
+        # an all-zero row is its label alone
+        p = tmp_path / "layout.libsvm"
+        write_libsvm(p, np.array([[2.0, 0.0, 0.1], [0.0, 0.0, 0.0]]),
+                     [1.5, -0.5])
+        assert p.read_text() == "1.5 1:2 3:0.10000000000000001\n-0.5\n"
 
     def test_dense_matrix(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -317,9 +317,11 @@ class TestOneStep:
         rng = np.random.default_rng(16)
         x0, u0 = rng.normal(size=n), rng.normal(size=n)
         # sigma != 1, so that a sigma dropped or misplaced in the system
-        # still fails the check
+        # still fails the check; d-ADMM starts at the curvature constant
+        # over its 10-step estimate of lambda_max(A^T A)
         sigma = 0.7
-        monkeypatch.setattr(first_order, "SIGMA0", sigma)
+        monkeypatch.setattr(first_order, "DUAL_SIGMA0_CURVATURE",
+                            sigma * estimate_lipschitz(data.A, iters=10))
         sol = d_admm_solve(data, FirstOrderConfig(max_iters=1),
                            x0=x0, u0=u0)
         expected = np.linalg.solve(np.eye(m) + sigma * M @ M.T,

@@ -23,7 +23,6 @@ from clusterlasso.prox import (
     prox_clustered,
     prox_conjugate,
     prox_pairwise,
-    prox_scaled,
     soft_threshold,
 )
 from oracles import isotone_qp_oracle, pairwise_penalty, prox_oracle
@@ -51,14 +50,6 @@ class TestPenalties:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Penalties(np.inf, 0.0)
-
-    def test_scaled(self):
-        pen = Penalties(2.0, 0.5).scaled(3.0)
-        assert pen.beta == 6.0 and pen.rho == 1.5
-
-    def test_scaled_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            Penalties(1.0, 1.0).scaled(0.0)
 
 
 class TestOrderedWeights:
@@ -243,13 +234,16 @@ class TestProxClustered:
         assert prox_clustered(y, Penalties(0.1, 0.1)).y_absmax == 7.0
 
     def test_scaled_prox_homogeneity(self):
-        # prox of t*p at y equals prox with penalties scaled by t
+        # the prox with levels (t beta, t rho), prox_{t p}, equals
+        # t prox_p(y / t) by positive homogeneity of p; APG's step
+        # prox_{p/L}(v) = prox_p(L v) / L rests on it
         rng = np.random.default_rng(10)
         y = rng.normal(size=12)
         pen = Penalties(0.5, 0.2)
         t = 3.7
         direct = prox_clustered(y, Penalties(0.5 * t, 0.2 * t)).prox
-        np.testing.assert_allclose(prox_scaled(y, t, pen), direct, atol=1e-14)
+        np.testing.assert_allclose(t * prox_clustered(y / t, pen).prox,
+                                   direct, atol=1e-14)
 
     def test_conjugate_moreau_identity(self):
         rng = np.random.default_rng(12)

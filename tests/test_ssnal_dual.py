@@ -20,6 +20,7 @@ from clusterlasso.data import (
     read_libsvm,
     write_libsvm,
 )
+from clusterlasso.first_order import FirstOrderConfig, d_admm_solve
 from clusterlasso.jacobian import build_jacobian
 from clusterlasso.linalg import DesignMatrix
 from clusterlasso.metrics import primal_objective
@@ -368,14 +369,14 @@ class TestOuterLoop:
         assert counts[0][0] < counts[1][0] and counts[0][1] < counts[1][1]
 
     def test_sigma_recovery_on_hard_tall_instance(self):
-        # On this correlated tall design the x3 sigma growth outruns what
-        # 10 Newton steps can solve; the solver must back sigma off after
-        # the capped inner loops and still converge well within the outer
-        # budget.
+        # On this correlated tall design the first inner solve after
+        # phase I takes more than 5 Newton steps; the solver must back
+        # sigma off after the capped inner loops and still converge well
+        # within the outer budget.
         prob = generate_scenario(ScenarioSpec(3, k=2, seed=1, m_override=400))
         pen = penalties_from_alphas(1e-3, 1e-3, prob.data)
         data = dataclasses.replace(prob.data, penalties=pen)
-        cfg = SolverConfig(ssn=SsnControls(max_newton=10))
+        cfg = SolverConfig(ssn=SsnControls(max_newton=5))
         sol = solve(data, cfg)
         assert sol.status == CONVERGED
         assert sol.max_eta <= 1e-6
@@ -402,3 +403,52 @@ class TestOuterLoop:
             assert all(len(r) - 1 < cap for r in sol.newton_residuals)
             steps.append(sol.total_newton_iters)
         assert max(steps[1:]) <= 2 * steps[0]
+
+    def test_wide_newton_work_does_not_depend_on_data_scale(self):
+        # the n >> m twin: phase I's sigma and the dual's sigma0 both scale
+        # with 1 / lambda_max(A A^T), so every row converges without a
+        # capped inner solve, within twice the unscaled Newton steps
+        prob = generate_scenario(ScenarioSpec(7, k=10, seed=1,
+                                              m_override=100))
+        A, b = prob.data.A.toarray(), prob.data.b
+        assert A.shape == (80, 400)
+        cap = SolverConfig().ssn.max_newton
+        steps = []
+        for a_scale, b_scale in ((1.0, 1.0), (100.0, 1.0), (1e-2, 1.0),
+                                 (1.0, 1e3)):
+            data = ProblemData(DesignMatrix(a_scale * A), b_scale * b)
+            data = dataclasses.replace(
+                data, penalties=penalties_from_alphas(1e-3, 1e-3, data))
+            sol = solve(data)
+            assert sol.status == CONVERGED
+            assert all(len(r) - 1 < cap for r in sol.newton_residuals)
+            steps.append(sol.total_newton_iters)
+        assert max(steps[1:]) <= 2 * steps[0]
+
+
+class TestPhaseOne:
+    def test_wide_solve_needs_few_newton_steps(self):
+        # 80 x 200, scenario 7: from phase I's point the dual converges in
+        # a few Newton steps; started cold it took 186, one solve capped
+        prob = generate_scenario(ScenarioSpec(7, k=5, seed=1, m_override=100))
+        data = prob.data.with_penalties(
+            penalties_from_alphas(1e-3, 1e-3, prob.data))
+        assert data.A.shape == (80, 200)
+        sol = solve(data)
+        assert sol.status == CONVERGED
+        assert sol.total_newton_iters <= 30
+        assert sol.phase1_iters == ssnal_dual.PHASE1_ITERS
+
+    def test_phase_one_seeds_the_dual_step(self):
+        # the step starts from d-ADMM's x, xi and u after PHASE1_ITERS
+        # iterations at fixed sigma, on the problem the step solves
+        data = _random_problem(4, m=10, n=30)
+        form = common.SquareRootForm(data)
+        step = ssnal_dual.DualStep(data, SolverConfig(), form)
+        iters = ssnal_dual.PHASE1_ITERS
+        want = d_admm_solve(form.data, FirstOrderConfig(
+            max_iters=iters, adaptive_sigma=False, check_every=iters))
+        assert step.phase1_iters == want.outer_iters
+        for got, ref in ((step.x, want.x), (step.xi, want.xi),
+                         (step.u, want.u)):
+            assert got.tobytes() == ref.tobytes()
