@@ -53,13 +53,15 @@ def read_libsvm(path, n_features: Optional[int] = None):
         b = np.array([toks[0] for toks in rows], dtype=np.float64)
         cols = np.array([p[0] for p in pairs], dtype=np.int64) - 1
         vals = np.array([p[2] for p in pairs], dtype=np.float64)
-    except ValueError:
+    except (ValueError, OverflowError):
         _raise_first_error(path, n_features)
-    n = int(cols.max(initial=-1)) + 1 if n_features is None else n_features
-    if cols.min(initial=0) < 0 or n < int(cols.max(initial=-1)) + 1:
+    n_seen = int(cols.max(initial=-1)) + 1
+    n = n_seen if n_features is None else n_features
+    if cols.min(initial=0) < 0 or n_seen > n:
         _raise_first_error(path, n_features)
     rows_of = np.repeat(np.arange(len(rows)), [len(toks) - 1 for toks in rows])
     A = np.zeros((len(rows), n), order="F")
+    # a repeated (row, index) pair; m n fits int64 once A is allocated
     keys = np.sort(rows_of * n + cols)
     if np.any(keys[1:] == keys[:-1]):
         _raise_first_error(path, n_features)
@@ -69,7 +71,10 @@ def read_libsvm(path, n_features: Optional[int] = None):
 
 def _raise_first_error(path, n_features):
     """Scan a file that `read_libsvm` rejected and raise LibsvmParseError
-    at its first bad token."""
+    at its first bad token; without n_features an index must fit int64."""
+    limit, bound = ((np.iinfo(np.int64).max, "the int64 range")
+                    if n_features is None else
+                    (n_features, f"n_features = {n_features}"))
     with open(path, "r", encoding="ascii") as fh:
         for line_no, line in enumerate(fh, start=1):
             toks = line.split()
@@ -92,10 +97,9 @@ def _raise_first_error(path, n_features):
                                            tok) from None
                 if j < 1:
                     raise LibsvmParseError("indices are 1-based", line_no, tok)
-                if n_features is not None and j > n_features:
-                    raise LibsvmParseError(
-                        f"index above n_features = {n_features}", line_no,
-                        tok)
+                if j > limit:
+                    raise LibsvmParseError(f"index above {bound}", line_no,
+                                           tok)
                 if j in seen:
                     raise LibsvmParseError("repeated index", line_no, tok)
                 seen.add(j)
@@ -105,20 +109,20 @@ def write_libsvm(path, A, b) -> None:
     """Write (A, b) in LIBSVM format; zeros are skipped, indices 1-based,
     values in 17 significant digits, so `read_libsvm` gives back the same
     floats.  A may be an array, a DesignMatrix or a scipy sparse matrix
-    (anything with `toarray`)."""
+    (anything with `toarray`); b holds one label per row."""
     b = np.asarray(b, dtype=np.float64)
     dense = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
+    if b.shape != dense.shape[:1]:
+        raise ValueError(f"b has shape {b.shape}; want one label per row "
+                         f"of the {dense.shape[0]}-row design")
     rows, cols = np.nonzero(dense)
     feats = [f"{j}:{v:.17g}" for j, v in
              zip((cols + 1).tolist(), dense[rows, cols].tolist())]
     ends = np.cumsum(np.bincount(rows, minlength=dense.shape[0])).tolist()
-    lines = []
-    start = 0
-    for label, end in zip(b.tolist(), ends):
-        lines.append(" ".join([f"{label:.17g}", *feats[start:end]]) + "\n")
-        start = end
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(lines)
+        fh.writelines(" ".join([f"{label:.17g}", *feats[lo:hi]]) + "\n"
+                      for label, lo, hi in zip(b.tolist(), [0, *ends][:-1],
+                                               ends))
 
 
 _BASE_VECTORS = {

@@ -1,7 +1,8 @@
 """First-order baselines: ADMM on either formulation and accelerated
 proximal gradient.  These are the reference points the Newton solvers are
 benchmarked against; each one touches the prox, products with A and A^T, and
-at most one n x n or m x m matrix, on whichever side is smaller.
+at most one n x n or m x m matrix, on whichever side is smaller.  Exact dual
+ADMM at fixed sigma is also the dual SSNAL's phase I.
 """
 
 import time

@@ -105,6 +105,14 @@ class TestLibsvmRead:
         assert ei.value.line_no == 2
         assert tok in str(ei.value)
 
+    def test_index_beyond_int64_rejected(self, tmp_path):
+        p = tmp_path / "huge.libsvm"
+        p.write_text("1.0 1:1.0\n2.0 100000000000000000000:1.0\n")
+        for n_features in (None, 3):
+            with pytest.raises(LibsvmParseError) as ei:
+                read_libsvm(p, n_features=n_features)
+            assert ei.value.line_no == 2
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.libsvm"
         p.write_text("")
@@ -131,6 +139,13 @@ class TestLibsvmRoundTrip:
         write_libsvm(p, np.array([[2.0, 0.0, 0.1], [0.0, 0.0, 0.0]]),
                      [1.5, -0.5])
         assert p.read_text() == "1.5 1:2 3:0.10000000000000001\n-0.5\n"
+
+    def test_label_count_must_match_rows(self, tmp_path):
+        p = tmp_path / "short.libsvm"
+        for b in (np.ones(1), np.ones(3)):
+            with pytest.raises(ValueError, match="one label per row"):
+                write_libsvm(p, np.eye(2), b)
+        assert not p.exists()
 
     def test_dense_matrix(self, tmp_path):
         rng = np.random.default_rng(0)

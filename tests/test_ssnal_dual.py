@@ -439,11 +439,15 @@ class TestPhaseOne:
         assert sol.total_newton_iters <= 30
         assert sol.phase1_iters == ssnal_dual.PHASE1_ITERS
 
-    def test_phase_one_seeds_the_dual_step(self):
+    @pytest.mark.parametrize("m, n", [(10, 30), (40, 8)],
+                             ids=["wide", "square_root"])
+    def test_phase_one_seeds_the_dual_step(self, m, n):
         # the step starts from d-ADMM's x, xi and u after PHASE1_ITERS
-        # iterations at fixed sigma, on the problem the step solves
-        data = _random_problem(4, m=10, n=30)
+        # iterations at fixed sigma, on the problem the step solves (the
+        # n x n square-root problem on the tall design)
+        data = _random_problem(4, m=m, n=n)
         form = common.SquareRootForm(data)
+        assert (form.factor is None) == (m < n)
         step = ssnal_dual.DualStep(data, SolverConfig(), form)
         iters = ssnal_dual.PHASE1_ITERS
         want = d_admm_solve(form.data, FirstOrderConfig(
