@@ -19,16 +19,16 @@ from .linalg import (DesignMatrix, MaxItersExceeded, cg_solve,
                      estimate_lipschitz)
 from .metrics import duality_metrics, eta_kkt, eta_rel, gnnz, nnz
 from .problem import ProblemData
-from .prox import (BlockPartition, Penalties, ProxResult, ordered_weights,
-                   penalty_value, project_nonincreasing, prox_clustered,
-                   prox_conjugate, prox_pairwise, soft_threshold)
+from .prox import (Penalties, ProxResult, ordered_weights, penalty_value,
+                   project_nonincreasing, prox_clustered, prox_conjugate,
+                   soft_threshold)
 from .ssnal_dual import solve as solve_dual
 from .ssnal_primal import solve_primal
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPartition", "CONVERGED", "DesignMatrix",
+    "CONVERGED", "DesignMatrix",
     "FirstOrderConfig", "LibsvmParseError", "MAX_ITERS", "MAX_TIME",
     "MaxItersExceeded", "Penalties", "ProblemData", "ProxJacobian",
     "ProxResult", "ScenarioSpec", "Solution", "SolverConfig", "SsnControls",
@@ -37,7 +37,7 @@ __all__ = [
     "eta_kkt", "eta_rel", "generate_scenario", "gnnz", "nnz",
     "ordered_weights", "p_admm_solve", "penalties_from_alphas",
     "penalty_value", "project_nonincreasing", "prox_clustered",
-    "prox_conjugate", "prox_pairwise", "read_libsvm",
+    "prox_conjugate", "read_libsvm",
     "soft_threshold", "solve_dual", "solve_primal", "true_coefficients",
     "write_libsvm",
 ]

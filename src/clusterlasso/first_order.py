@@ -132,11 +132,24 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     - b is formed once, after the loop.
     """
     cfg = cfg or FirstOrderConfig()
+    t0 = time.perf_counter()
+    x, xi, u, it, status, e_rel, cg_iters = _d_admm(
+        data, cfg, t0 + cfg.max_time, x0=x0, u0=u0)
+    return _finish(x, xi, u, data, status, it, t0, e_rel,
+                   cg_iters=cg_iters)
+
+
+def _d_admm(data, cfg, deadline, lip=None, check=True, x0=None, u0=None):
+    """The iterations of `d_admm_solve`, also run as the dual SSNAL's
+    phase I.  lip is the estimate of lambda_max(A A^T) that sigma starts
+    from (made here when None); with check off no stopping measure is
+    evaluated, and only the deadline stops the loop before cfg.max_iters.
+
+    Returns (x, xi, u, iters, status, eta_rel, cg_iters).
+    """
     pen = data.require_penalties()
     A, b = data.A, data.b
     m, n = A.m, A.n
-    t0 = time.perf_counter()
-    deadline = t0 + cfg.max_time
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
@@ -149,7 +162,9 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
             atb = A.tmatvec(b)
         else:
             gram = A.raw @ A.raw.T
-    lip = estimate_lipschitz(A, iters=10, gram=gram if gram_side else None)
+    if lip is None:
+        lip = estimate_lipschitz(A, iters=10,
+                                 gram=gram if gram_side else None)
     sigma = DUAL_SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
     if cfg.variant == "exact":
         chol = cholesky(sigma * gram, 1.0)
@@ -188,15 +203,17 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
                     chol = cholesky(sigma * gram, 1.0)
         u_prev = u
 
-        status, e_rel = _check(cfg, data, x, it, deadline, e_rel,
-                               *((gram, atb) if gram_side else ()))
+        if check:
+            status, e_rel = _check(cfg, data, x, it, deadline, e_rel,
+                                   *((gram, atb) if gram_side else ()))
+        elif time.perf_counter() > deadline:
+            status = MAX_TIME
         if status:
             break
 
     if gram_side:
         xi = A.matvec(xi_arg) - b
-    return _finish(x, xi, u, data, status, it, t0, e_rel,
-                   cg_iters=cg_iters)
+    return x, xi, u, it, status, e_rel, cg_iters
 
 
 def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,

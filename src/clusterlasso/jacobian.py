@@ -75,11 +75,11 @@ class ProxJacobian:
 def build_jacobian(pr: ProxResult, pen: Penalties) -> ProxJacobian:
     """Assemble the structured Jacobian element from a prox evaluation.
 
-    Pooled runs are the connected components of consecutive sorted projected
-    values equal within TIES_TOL (relative to ||y||_inf).  The threshold
-    mask is decided per run from the run's length-weighted mean value, so it
-    is constant on every run; values within TIES_TOL of the l1 level count
-    as zeroed.
+    Pooled runs are the maximal stretches of the sorted pairwise prox
+    s_rho[perm] whose consecutive values are equal within TIES_TOL
+    (relative to ||y||_inf).  The threshold mask is decided per run from
+    the mean of its values, so it is constant on every run; values within
+    TIES_TOL of the l1 level count as zeroed.
     """
     n = pr.prox.shape[0]
     if pr.s_rho.shape[0] != n:
@@ -94,23 +94,16 @@ def build_jacobian(pr: ProxResult, pen: Penalties) -> ProxJacobian:
             n=n, free_idx=np.flatnonzero(nonzero).astype(np.int64),
             pool_idx=empty_i, pool_offsets=empty_i, pool_sizes=empty_i)
 
-    part = pr.partition
-    if int(np.sum(part.length)) != n:
-        raise ValueError("inconsistent ProxResult: partition does not cover n")
-    vals = part.value
-    lens = part.length
-    if vals.size > 1 and np.any(np.diff(vals) > 0):
-        raise ValueError("inconsistent ProxResult: partition not non-increasing")
-
-    # merge adjacent partition blocks whose values tie within tol
-    if vals.size > 1:
-        run_first = np.flatnonzero(np.r_[True, np.abs(np.diff(vals)) > tol])
-    else:
-        run_first = np.zeros(1, dtype=np.int64)
-    run_len = np.add.reduceat(lens, run_first)
-    run_val = np.add.reduceat(vals * lens, run_first) / run_len
-    run_start = part.start[run_first]
-    run_nonzero = np.abs(run_val) > pen.beta + tol
+    if pr.perm.shape[0] != n:
+        raise ValueError("inconsistent ProxResult: perm does not cover n")
+    s = pr.s_rho[pr.perm]
+    step = np.diff(s)
+    if np.any(step > 0):
+        raise ValueError("inconsistent ProxResult: s_rho[perm] increases")
+    run_start = np.flatnonzero(np.r_[True, step < -tol])
+    run_len = np.diff(np.r_[run_start, n])
+    run_nonzero = (np.abs(np.add.reduceat(s, run_start) / run_len)
+                   > pen.beta + tol)
 
     pooled = run_len >= 2
     free_idx = pr.perm[run_start[~pooled & run_nonzero]].astype(np.int64)

@@ -32,57 +32,19 @@ class Penalties:
 
 
 @dataclass(frozen=True)
-class BlockPartition:
-    """Constant blocks of a non-increasing vector, left to right: its runs
-    of exactly equal values (`BlockPartition.of`).
-
-    start/length index the vector; value holds each block's common value.
-    Values are strictly decreasing across blocks.
-    """
-
-    start: np.ndarray
-    length: np.ndarray
-    value: np.ndarray
-
-    @property
-    def nblocks(self) -> int:
-        return self.start.shape[0]
-
-    def expand(self) -> np.ndarray:
-        return np.repeat(self.value, self.length)
-
-    @classmethod
-    def of(cls, v: np.ndarray) -> "BlockPartition":
-        """The runs of equal values of a non-increasing vector v."""
-        cut = np.flatnonzero(v[1:] != v[:-1]) + 1
-        start = np.concatenate(([0], cut))
-        return cls(start=start, length=np.concatenate((cut, [v.size])) - start,
-                   value=v[start])
-
-
-@dataclass(frozen=True)
 class ProxResult:
-    """Prox evaluation plus the sorted structure the Newton code reuses.
+    """Prox evaluation plus the sorted structure the Jacobian reads.
 
     One evaluation holds the prox, the pairwise prox s_rho it thresholds,
     perm and y_absmax = ||y||_inf.  perm maps sorted position -> original
-    index; it is None on the shortcut path (rho = 0 or n = 1), where
-    nothing is sorted.
+    index, so s_rho[perm] is non-increasing; it is None on the shortcut
+    path (rho = 0 or n = 1), where nothing is sorted.
     """
 
     prox: np.ndarray
     s_rho: np.ndarray
     perm: Optional[np.ndarray]
     y_absmax: float
-
-    @property
-    def partition(self) -> Optional[BlockPartition]:
-        """The blocks of the sorted pairwise prox s_rho[perm], built anew
-        on each access (None when perm is): only the Jacobian reads them,
-        so the iterations that never build one skip the cost."""
-        if self.perm is None:
-            return None
-        return BlockPartition.of(self.s_rho[self.perm])
 
 
 def ordered_weights(n: int) -> np.ndarray:
@@ -147,46 +109,22 @@ def pav_nonincreasing(v: np.ndarray):
             np.fromiter(counts, np.int64, len(counts)))
 
 
-def project_nonincreasing(v: np.ndarray):
-    """Euclidean projection onto {x : x_1 >= x_2 >= ... >= x_n}.
-
-    Returns (projection, BlockPartition).  The partition is the
-    projection's runs of equal values, so adjacent sweep blocks with
-    exactly equal means share one block and block values are strictly
-    decreasing.
-    """
+def project_nonincreasing(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x : x_1 >= x_2 >= ... >= x_n}, by one
+    `pav_nonincreasing` sweep."""
     v = np.ascontiguousarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
-    proj = _project(v)
-    return proj, BlockPartition.of(proj)
-
-
-def _project(v: np.ndarray) -> np.ndarray:
-    """The projection of a nonempty contiguous float64 vector, by one
-    `pav_nonincreasing` sweep."""
     sums, counts = pav_nonincreasing(v)
     return np.repeat(sums / counts, counts)
-
-
-def prox_pairwise(y: np.ndarray, rho: float):
-    """Prox of rho * sum_{i<j}|x_i - x_j| at y.
-
-    Returns (s, perm, partition) with s[perm] non-increasing.  The output
-    keeps the input's ordering: sort y (stable, descending), shift by
-    rho * ordered_weights, project onto the non-increasing cone, unsort.
-    partition holds the runs of equal values of s[perm].  For rho = 0 the
-    map is the identity and perm/partition are None.
-    """
-    pr = prox_clustered(y, Penalties(0.0, rho))
-    return pr.s_rho, pr.perm, pr.partition
 
 
 def prox_clustered(y: np.ndarray, pen: Penalties) -> ProxResult:
     """Prox of the full penalty: soft-threshold the pairwise prox output.
 
-    Builds the prox, s_rho and perm, and reads ||y||_inf off the sorted
-    ends; `ProxResult.partition` is left to the caller that reads it.
+    The pairwise prox s_rho keeps the input's ordering: sort y (stable,
+    descending), shift by rho * ordered_weights, project onto the
+    non-increasing cone, unsort; ||y||_inf is read off the sorted ends.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
@@ -197,7 +135,8 @@ def prox_clustered(y: np.ndarray, pen: Penalties) -> ProxResult:
     else:
         perm = np.argsort(-y, kind="stable")
         s = np.empty_like(y)
-        s[perm] = _project(y[perm] - pen.rho * ordered_weights(y.size))
+        s[perm] = project_nonincreasing(
+            y[perm] - pen.rho * ordered_weights(y.size))
         y_absmax = float(max(abs(y[perm[0]]), abs(y[perm[-1]])))
     prox = soft_threshold(s, pen.beta) if pen.beta != 0.0 else s.copy()
     return ProxResult(prox=prox, s_rho=s, perm=perm, y_absmax=y_absmax)

@@ -12,12 +12,13 @@ it runs on the n x n problem (R, c) of `SquareRootForm`, where W = RP.
 
 The solve has two phases, as in SDPNAL+ (Yang, Sun & Toh, Math. Prog.
 Comput. 7, 2015).  Phase I runs PHASE1_ITERS iterations of exact d-ADMM
-(`first_order.d_admm_solve`) at its fixed, scale-free sigma on the same
-problem; its x, xi and u are where the semismooth-Newton augmented
-Lagrangian (phase II) starts, instead of zero.  Cold, the dual spent most
-of its Newton steps far from the solution at large sigma.
+(the loop of `first_order.d_admm_solve`) at its fixed, scale-free sigma
+on the same problem; its x, xi and u are where the semismooth-Newton
+augmented Lagrangian (phase II) starts, instead of zero.  Cold, the dual
+spent most of its Newton steps far from the solution at large sigma.
 """
 
+import time
 from typing import Optional
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .common import (DENSE_CAP, NEWTON_CG_ITERS, SolverConfig, Solution,
                      SquareRootForm, augmented_lagrangian, newton,
                      newton_cg_target, tolerances)
-from .first_order import FirstOrderConfig, d_admm_solve
+from .first_order import FirstOrderConfig, _d_admm
 from .jacobian import ProxJacobian, build_jacobian, design_factors
 from .linalg import cg_solve, cho_solve, cholesky, estimate_lipschitz
 from .metrics import duality_metrics, eta_kkt
@@ -125,7 +126,9 @@ class DualStep:
     curvature sigma A M A^T whatever the scale of A and b.
     The iterates x, xi and u start at phase I's: PHASE1_ITERS iterations
     of exact d-ADMM with adaptive_sigma off on form.data, made here, so
-    inside the solve's timed window; phase1_iters records the count.
+    inside the solve's timed window; phase1_iters records the count.  It
+    is `d_admm_solve`'s loop from the same power estimate as sigma0, with
+    no stopping measure and no `Solution`: only the deadline ends it early.
     """
 
     z = None
@@ -137,11 +140,10 @@ class DualStep:
         self.cfg = cfg
         lip = estimate_lipschitz(data.A, iters=10)
         self.sigma0 = SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
-        phase1 = d_admm_solve(data, FirstOrderConfig(
-            tol=cfg.tol, max_iters=PHASE1_ITERS, max_time=cfg.max_time,
-            adaptive_sigma=False, check_every=PHASE1_ITERS))
-        self.phase1_iters = phase1.outer_iters
-        self.x, self.xi, self.u = phase1.x, phase1.xi, phase1.u
+        self.x, self.xi, self.u, self.phase1_iters, *_ = _d_admm(
+            data, FirstOrderConfig(max_iters=PHASE1_ITERS,
+                                   adaptive_sigma=False),
+            time.perf_counter() + cfg.max_time, lip=lip, check=False)
 
     def inner(self, sigma, k, deadline):
         eps_k, delta_k, deltap_k = tolerances(k)

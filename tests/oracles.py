@@ -5,7 +5,8 @@ the penalty is evaluated by an O(n^2) double loop, the prox by an ADMM on
 the explicit all-pairs difference matrix, the isotone projection by an
 exhaustive active-set QP search, and the prox Jacobian by the dense
 pseudo-inverse formula.  `count_design_products` counts the solvers'
-products with each design.
+products with each design, and `equal_runs` splits a vector into its
+runs of equal entries.
 """
 
 import collections
@@ -168,6 +169,12 @@ def dense_jacobian_oracle(y, beta, rho, ties_tol=1e-10):
     theta[perm] = theta_sorted
     Theta = np.diag(theta)
     return Theta @ P.T @ Q @ P
+
+
+def equal_runs(v):
+    """(lengths, values) of the runs of equal entries of v, left to right."""
+    first = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    return np.diff(np.r_[first, v.size]), v[first]
 
 
 def dense_matrix_from_apply(apply, n):

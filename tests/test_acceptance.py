@@ -36,13 +36,13 @@ from clusterlasso.prox import (
     project_nonincreasing,
     prox_clustered,
     prox_conjugate,
-    prox_pairwise,
 )
 from clusterlasso.ssnal_dual import solve as dual_solve
 from clusterlasso.ssnal_primal import solve_primal
 from oracles import (
     dense_jacobian_oracle,
     dense_matrix_from_apply,
+    equal_runs,
     isotone_qp_oracle,
     pairwise_penalty,
     prox_oracle,
@@ -113,12 +113,13 @@ def _generic_point(rng, margin=1e-6):
         if n > 1 and float(np.min(-np.diff(ys))) <= margin:
             continue
         shifted = ys - rho * ordered_weights(n)
-        proj, part = project_nonincreasing(shifted)
+        proj = project_nonincreasing(shifted)
         lam = -np.cumsum(proj - shifted)[:-1]
         gaps = -np.diff(proj)
         if not np.all((gaps > margin) | (lam < -margin)):
             continue
-        if float(np.min(np.abs(np.abs(part.value) - beta))) <= margin:
+        block_values = equal_runs(proj)[1]
+        if float(np.min(np.abs(np.abs(block_values) - beta))) <= margin:
             continue
         return y, Penalties(beta, rho)
 
@@ -163,7 +164,7 @@ class TestAcceptance:
             v = rng.normal(size=n) * float(rng.uniform(0.5, 4.0))
             if i % 4 == 0:
                 v = np.round(v)  # exact ties exercise the pooled KKT branch
-            proj, _ = project_nonincreasing(v)
+            proj = project_nonincreasing(v)
             worst = max(worst, float(np.max(np.abs(proj - isotone_qp_oracle(v)))))
         ok = worst <= 1e-9
         _verdict(2, "isotone projection vs QP oracle", ok,
@@ -223,8 +224,9 @@ class TestAcceptance:
             beta = float(rng.uniform(0.05, 1.0))
             rho = float(rng.uniform(0.0, 0.5))
             if i % 5 == 0:
-                s, _, part = prox_pairwise(y, rho)
-                vals = np.abs(part.value) if part is not None else np.abs(s)
+                pr = prox_clustered(y, Penalties(0.0, rho))
+                vals = np.abs(pr.s_rho if pr.perm is None
+                              else equal_runs(pr.s_rho[pr.perm])[1])
                 vals = vals[vals > 1e-8]
                 if vals.size:
                     # land the soft threshold exactly on a block value

@@ -32,6 +32,17 @@ def test_scaled_prox_wrappers_are_gone():
     assert not hasattr(clusterlasso.Penalties, "scaled")
 
 
+def test_block_partition_and_pairwise_prox_are_gone():
+    # the Jacobian reads its pooled runs off s_rho[perm]; the prox builds
+    # no partition and has no pairwise-only wrapper
+    for name in ("BlockPartition", "prox_pairwise"):
+        assert name not in clusterlasso.__all__
+        assert not hasattr(clusterlasso, name)
+        assert not hasattr(clusterlasso.prox, name)
+    assert not hasattr(clusterlasso.prox, "_project")
+    assert not hasattr(clusterlasso.ProxResult, "partition")
+
+
 def test_solver_config_has_no_schedule_knobs():
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert fields == {"tol", "max_outer", "max_time", "ssn"}

@@ -5,6 +5,8 @@ the projection's active constraints via the pseudo-inverse formula, and
 against finite differences of the prox itself at generic points.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -164,10 +166,14 @@ class TestDesignFactors:
 
 
 class TestValidation:
-    def test_inconsistent_result_rejected(self):
-        import dataclasses
+    @pytest.mark.parametrize("field, corrupt, message", [
+        ("s_rho", lambda pr: pr.s_rho[:2], "field lengths differ"),
+        ("perm", lambda pr: pr.perm[:2], "perm does not cover n"),
+        ("s_rho", lambda pr: pr.s_rho[::-1], "increases"),
+    ], ids=["lengths_differ", "perm_short", "sorted_increasing"])
+    def test_inconsistent_result_rejected(self, field, corrupt, message):
         pen = Penalties(0.1, 0.1)
-        pr = prox_clustered(np.array([1.0, 2.0]), pen)
-        broken = dataclasses.replace(pr, s_rho=np.array([1.0]))
-        with pytest.raises(ValueError):
+        pr = prox_clustered(np.array([1.0, 2.0, 3.0]), pen)
+        broken = dataclasses.replace(pr, **{field: corrupt(pr)})
+        with pytest.raises(ValueError, match=message):
             build_jacobian(broken, pen)

@@ -82,8 +82,8 @@ class TestKernelEquivalence:
         np.testing.assert_array_equal(sums, v)
 
     def test_exact_ties_stay_split(self):
-        # the sweep pools only on strict violations; coalescing equal
-        # means is project_nonincreasing's job
+        # the sweep pools only on strict violations; blocks with equal
+        # means still project to equal values
         sums, counts = pav_nonincreasing(np.array([1.0, 1.0]))
         np.testing.assert_array_equal(counts, [1, 1])
         np.testing.assert_array_equal(sums, [1.0, 1.0])

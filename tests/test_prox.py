@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterlasso import first_order, ssnal_dual
-from clusterlasso.common import CONVERGED
-from clusterlasso.data import (ScenarioSpec, generate_scenario,
-                               penalties_from_alphas)
 from clusterlasso.prox import (
-    BlockPartition,
     Penalties,
     ordered_weights,
     pav_nonincreasing,
@@ -22,10 +17,10 @@ from clusterlasso.prox import (
     project_nonincreasing,
     prox_clustered,
     prox_conjugate,
-    prox_pairwise,
     soft_threshold,
 )
-from oracles import isotone_qp_oracle, pairwise_penalty, prox_oracle
+from oracles import (equal_runs, isotone_qp_oracle, pairwise_penalty,
+                     prox_oracle)
 
 
 def _vec(draw_floats, n):
@@ -113,48 +108,56 @@ class TestSoftThreshold:
 
 class TestProjectNonincreasing:
     def test_single_violation_pools(self):
-        proj, part = project_nonincreasing(np.array([1.0, 3.0, 2.0]))
+        proj = project_nonincreasing(np.array([1.0, 3.0, 2.0]))
         np.testing.assert_allclose(proj, [2.0, 2.0, 2.0])
-        assert part.nblocks == 1
-        assert part.length[0] == 3
+        lengths, _ = equal_runs(proj)
+        np.testing.assert_array_equal(lengths, [3])
 
     def test_sorted_input_unchanged(self):
         v = np.array([5.0, 3.0, 1.0])
-        proj, part = project_nonincreasing(v)
+        proj = project_nonincreasing(v)
         np.testing.assert_array_equal(proj, v)
-        assert part.nblocks == 3
+        assert equal_runs(proj)[0].size == 3
 
     def test_exact_ties_share_a_block(self):
-        proj, part = project_nonincreasing(np.array([2.0, 1.0, 1.0, 0.0]))
-        assert part.nblocks == 3
-        np.testing.assert_array_equal(part.length, [1, 2, 1])
+        proj = project_nonincreasing(np.array([2.0, 1.0, 1.0, 0.0]))
+        lengths, _ = equal_runs(proj)
+        np.testing.assert_array_equal(lengths, [1, 2, 1])
 
     def test_partition_expand_roundtrip(self):
+        # the projection's runs are the sweep's blocks with adjacent
+        # exactly equal means merged, and expand back to the projection
         rng = np.random.default_rng(0)
-        v = rng.normal(size=25)
-        proj, part = project_nonincreasing(v)
-        np.testing.assert_allclose(part.expand(), proj)
+        for v in (rng.normal(size=25), np.round(rng.normal(size=40), 1)):
+            proj = project_nonincreasing(v)
+            lengths, values = equal_runs(proj)
+            np.testing.assert_array_equal(np.repeat(values, lengths), proj)
+            sums, counts = pav_nonincreasing(v)
+            means = sums / counts
+            first = np.flatnonzero(np.r_[True, means[1:] != means[:-1]])
+            np.testing.assert_array_equal(lengths,
+                                          np.add.reduceat(counts, first))
+            np.testing.assert_array_equal(values, means[first])
 
     def test_partition_values_strictly_decreasing(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             v = np.round(rng.normal(size=12), 1)
-            _, part = project_nonincreasing(v)
-            assert np.all(np.diff(part.value) < 0)
-            assert part.start[0] == 0
-            assert part.start[-1] + part.length[-1] == 12
+            lengths, values = equal_runs(project_nonincreasing(v))
+            assert np.all(np.diff(values) < 0)
+            assert lengths.sum() == 12
 
     def test_preserves_sum(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=30)
-        proj, _ = project_nonincreasing(v)
+        proj = project_nonincreasing(v)
         assert proj.sum() == pytest.approx(v.sum())
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         v = rng.normal(size=15)
-        proj, _ = project_nonincreasing(v)
-        again, _ = project_nonincreasing(proj)
+        proj = project_nonincreasing(v)
+        again = project_nonincreasing(proj)
         np.testing.assert_allclose(again, proj, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(40))
@@ -164,39 +167,46 @@ class TestProjectNonincreasing:
         v = rng.normal(size=n) * rng.choice([0.01, 1.0, 100.0])
         if seed % 3 == 0 and n > 1:
             v = np.round(v, 1)
-        proj, _ = project_nonincreasing(v)
+        proj = project_nonincreasing(v)
         np.testing.assert_allclose(proj, isotone_qp_oracle(v), atol=1e-9)
+
+
+def _pairwise(y, rho):
+    """(s_rho, perm) of the prox with beta = 0: the pairwise prox alone."""
+    pr = prox_clustered(np.asarray(y, dtype=float), Penalties(0.0, rho))
+    return pr.s_rho, pr.perm
 
 
 class TestProxPairwise:
     def test_two_points_pull_together(self):
-        s, perm, part = prox_pairwise(np.array([0.0, 10.0]), 1.0)
+        s, perm = _pairwise([0.0, 10.0], 1.0)
         np.testing.assert_allclose(s, [1.0, 9.0])
         np.testing.assert_array_equal(perm, [1, 0])
-        assert part.nblocks == 2
+        assert equal_runs(s[perm])[0].size == 2
 
     def test_large_rho_pools_everything(self):
-        s, _, part = prox_pairwise(np.array([1.0, 2.0, 6.0]), 10.0)
+        s, perm = _pairwise([1.0, 2.0, 6.0], 10.0)
         np.testing.assert_allclose(s, [3.0, 3.0, 3.0])
-        assert part.nblocks == 1
+        assert equal_runs(s[perm])[0].size == 1
 
     def test_rho_zero_identity(self):
         y = np.array([3.0, -1.0, 2.0])
-        s, perm, part = prox_pairwise(y, 0.0)
+        s, perm = _pairwise(y, 0.0)
         np.testing.assert_array_equal(s, y)
-        assert perm is None and part is None
+        assert perm is None
 
     def test_singleton_identity(self):
-        s, perm, part = prox_pairwise(np.array([4.2]), 1.0)
+        s, perm = _pairwise([4.2], 1.0)
         np.testing.assert_array_equal(s, [4.2])
-        assert perm is None and part is None
+        assert perm is None
 
     def test_preserves_order(self):
         rng = np.random.default_rng(5)
         y = rng.normal(size=20)
-        s, _, _ = prox_pairwise(y, 0.13)
+        s, perm = _pairwise(y, 0.13)
         order = np.argsort(-y, kind="stable")
         assert np.all(np.diff(s[order]) <= 1e-12)
+        assert np.all(np.diff(s[perm]) <= 0)
 
 
 class TestProxClustered:
@@ -299,75 +309,22 @@ class TestProxProperties:
         np.testing.assert_allclose(total, y, atol=1e-12 * (1 + np.abs(y).max()))
 
 
-class TestBlockPartition:
-    def test_expand(self):
-        part = BlockPartition(
-            start=np.array([0, 2]), length=np.array([2, 1]),
-            value=np.array([5.0, 1.0]))
-        np.testing.assert_array_equal(part.expand(), [5.0, 5.0, 1.0])
-        assert part.nblocks == 2
-
-
 tied_vecs = st.lists(st.floats(-5, 5), min_size=1, max_size=60).map(
     lambda v: np.round(np.array(v), 1))
 
 
-class TestPartitionOnDemand:
-    """`prox_clustered` leaves the partition to `ProxResult.partition`,
-    which only the Jacobian reads."""
+class TestTiedInputs:
+    """Tied entries of y land in one pooled block, so the order the sort
+    gives them changes no output byte, and the Jacobian's pools are index
+    sets."""
 
-    @given(tied_vecs, st.floats(0, 3), st.sampled_from([0.0, 1e-6, 0.5]))
+    @given(tied_vecs, st.floats(0, 3), st.sampled_from([0.0, 1e-6, 0.5]),
+           st.integers(0, 999))
     @settings(max_examples=150, deadline=None)
-    def test_matches_prox_pairwise_and_the_sweep(self, y, beta, rho):
-        res = prox_clustered(y, Penalties(beta, rho))
-        assert res.y_absmax == np.max(np.abs(y))
-        part, want = res.partition, prox_pairwise(y, rho)[2]
-        if rho == 0.0 or y.size == 1:
-            assert part is None and want is None
-            return
-        for name in ("start", "length", "value"):
-            got, ref = getattr(part, name), getattr(want, name)
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-        # the sweep's blocks, with adjacent exactly equal means merged
-        sums, counts = pav_nonincreasing(
-            y[res.perm] - rho * ordered_weights(y.size))
-        means = sums / counts
-        first = np.flatnonzero(np.r_[True, means[1:] != means[:-1]])
-        np.testing.assert_array_equal(part.length,
-                                      np.add.reduceat(counts, first))
-        np.testing.assert_array_equal(part.value, means[first])
-
-
-@pytest.fixture
-def partition_builds(monkeypatch):
-    """One entry per BlockPartition made while the test runs."""
-    calls = []
-    init = BlockPartition.__init__
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(BlockPartition, "__init__", counted)
-    return calls
-
-
-def _scenario7():
-    data = generate_scenario(ScenarioSpec(7, 1, 1, m_override=100)).data
-    return data.with_penalties(penalties_from_alphas(1e-3, 1e-3, data))
-
-
-class TestPartitionBuilds:
-    @pytest.mark.parametrize("solver", [first_order.apg_solve,
-                                        first_order.p_admm_solve,
-                                        first_order.d_admm_solve])
-    def test_first_order_builds_none(self, partition_builds, solver):
-        sol = solver(_scenario7(),
-                     first_order.FirstOrderConfig(tol=1e-5, check_every=10))
-        assert sol.status == CONVERGED
-        assert partition_builds == []
-
-    def test_dual_builds_one_per_newton_step(self, partition_builds):
-        sol = ssnal_dual.solve(_scenario7())
-        assert sol.status == CONVERGED
-        assert len(partition_builds) == sol.total_newton_iters > 0
+    def test_permutation_equivariant_bytes(self, y, beta, rho, seed):
+        pen = Penalties(beta, rho)
+        p = np.random.default_rng(seed).permutation(y.size)
+        ref, got = prox_clustered(y, pen), prox_clustered(y[p], pen)
+        assert got.prox.tobytes() == ref.prox[p].tobytes()
+        assert got.s_rho.tobytes() == ref.s_rho[p].tobytes()
+        assert got.y_absmax == ref.y_absmax == np.max(np.abs(y))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from clusterlasso import common, ssnal_dual
+from clusterlasso import common, first_order, metrics, ssnal_dual
 from clusterlasso.common import (
     CONVERGED,
     SolverConfig,
@@ -438,6 +438,34 @@ class TestPhaseOne:
         assert sol.status == CONVERGED
         assert sol.total_newton_iters <= 30
         assert sol.phase1_iters == ssnal_dual.PHASE1_ITERS
+
+    @pytest.mark.parametrize("m, n", [(10, 30), (40, 8), (12, 8)],
+                             ids=["wide", "square_root", "gram_side"])
+    def test_phase_one_does_no_extra_work(self, monkeypatch, m, n):
+        # building the step costs PHASE1_ITERS prox calls and one power
+        # estimate: phase I evaluates no stopping measure, builds no
+        # Solution and reuses the estimate sigma0 is made from
+        data = _random_problem(5, m=m, n=n)
+        form = common.SquareRootForm(data)
+        calls = {"prox": 0, "estimate": 0, "solution": 0}
+
+        def count(module, name, key):
+            orig = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return orig(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (first_order, metrics):
+            count(module, "prox_clustered", "prox")
+        for module in (first_order, ssnal_dual):
+            count(module, "estimate_lipschitz", "estimate")
+        count(first_order, "Solution", "solution")
+        step = ssnal_dual.DualStep(data, SolverConfig(), form)
+        assert step.phase1_iters == ssnal_dual.PHASE1_ITERS
+        assert calls == {"prox": ssnal_dual.PHASE1_ITERS, "estimate": 1,
+                         "solution": 0}
 
     @pytest.mark.parametrize("m, n", [(10, 30), (40, 8)],
                              ids=["wide", "square_root"])
