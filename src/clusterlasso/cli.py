@@ -84,8 +84,7 @@ def _resolve_solver(name: str, data) -> str:
 
 
 def _run_solver(name: str, data, tol: float, max_time: float,
-                max_iters: Optional[int], ref_pobj: Optional[float] = None,
-                rel_tol: Optional[float] = None):
+                max_iters: Optional[int], ref_pobj: Optional[float] = None):
     kwargs = dict(tol=tol, max_time=max_time)
     if name in ("ssnal-d", "ssnal-p"):
         if max_iters is not None:
@@ -93,7 +92,7 @@ def _run_solver(name: str, data, tol: float, max_time: float,
         fn = ssnal_dual.solve if name == "ssnal-d" else ssnal_primal.solve_primal
         return fn(data, SolverConfig(**kwargs))
     if ref_pobj is not None:
-        kwargs.update(ref_pobj=ref_pobj, tol=rel_tol or tol)
+        kwargs["ref_pobj"] = ref_pobj
     if max_iters is not None:
         kwargs["max_iters"] = max_iters
     if name == "admm-d":
@@ -225,9 +224,8 @@ def cmd_bench(args) -> int:
                                       None)
                     sol.eta_rel = eta_rel(sol.pobj, ref.pobj)
                 else:
-                    sol = _run_solver(name, data, args.tol, args.max_time,
-                                      None, ref_pobj=ref.pobj,
-                                      rel_tol=args.rel_tol)
+                    sol = _run_solver(name, data, args.rel_tol,
+                                      args.max_time, None, ref_pobj=ref.pobj)
             except Exception as exc:  # noqa: BLE001
                 print(f"[bench] {name} failed on {a1}:{a2}: {exc}",
                       file=sys.stderr)

@@ -76,34 +76,35 @@ class FirstOrderConfig:
             raise ValueError("max_iters and check_every must be >= 1")
 
 
-def _finish(x, xi, u, data, status, iters, t0, e_rel, z=None, cg_iters=0):
-    """The baselines' Solution."""
+def _finish(x, xi, u, data, cfg, status, iters, t0, z=None, cg_iters=0):
+    """The baselines' Solution; eta_rel is taken at the returned x when
+    cfg has a ref_pobj."""
     pobj, dobj, e_gap, e_d = duality_metrics(x, xi, u, data)
     return Solution(
         x=x, xi=xi, u=u, pobj=pobj, dobj=dobj, eta_gap=e_gap, eta_d=e_d,
         eta_kkt=eta_kkt(x, data), status=status or MAX_ITERS,
         outer_iters=iters, total_cg_iters=cg_iters,
-        wall_time=time.perf_counter() - t0, z=z, eta_rel=e_rel)
+        wall_time=time.perf_counter() - t0, z=z,
+        eta_rel=None if cfg.ref_pobj is None else eta_rel(pobj, cfg.ref_pobj))
 
 
-def _check(cfg, data, x, it, deadline, e_rel, gram=None, atb=None):
+def _check(cfg, data, x, it, deadline, gram=None, atb=None):
     """Loop tail shared by the baselines: the configured stopping rule
     every check_every iterations, then the deadline.  A solver holding
     gram = A^T A and atb = A^T b passes them for eta_kkt.
 
-    Returns (status, eta_rel): status is None while the loop goes on.
+    Returns the status, None while the loop goes on.
     """
     if it % cfg.check_every == 0:
         if cfg.ref_pobj is not None:
-            e_rel = eta_rel(primal_objective(x, data), cfg.ref_pobj)
-            if e_rel <= cfg.tol:
-                return CONVERGED, e_rel
+            if eta_rel(primal_objective(x, data), cfg.ref_pobj) <= cfg.tol:
+                return CONVERGED
         elif eta_kkt(x, data,
                      None if gram is None else gram @ x - atb) <= cfg.tol:
-            return CONVERGED, e_rel
+            return CONVERGED
     if time.perf_counter() > deadline:
-        return MAX_TIME, e_rel
-    return None, e_rel
+        return MAX_TIME
+    return None
 
 
 def _sigma_scale(r_feas, s_feas):
@@ -113,10 +114,9 @@ def _sigma_scale(r_feas, s_feas):
         0.5 if s_feas > 10.0 * r_feas else 1.0)
 
 
-def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
-                 x0: Optional[np.ndarray] = None,
-                 u0: Optional[np.ndarray] = None) -> Solution:
-    """ADMM on the dual formulation.
+def d_admm_solve(data: ProblemData,
+                 cfg: Optional[FirstOrderConfig] = None) -> Solution:
+    """ADMM on the dual formulation, from x = u = xi = 0.
 
     Iterates: solve (I + sigma A A^T) xi = -b + A(x - sigma u), then
     u <- proj_{dom p*}(x/sigma - A^T xi), then the multiplier step
@@ -133,26 +133,23 @@ def d_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     """
     cfg = cfg or FirstOrderConfig()
     t0 = time.perf_counter()
-    x, xi, u, it, status, e_rel, cg_iters = _d_admm(
-        data, cfg, t0 + cfg.max_time, x0=x0, u0=u0)
-    return _finish(x, xi, u, data, status, it, t0, e_rel,
-                   cg_iters=cg_iters)
+    x, xi, u, it, status, cg_iters = _d_admm(data, cfg, t0 + cfg.max_time)
+    return _finish(x, xi, u, data, cfg, status, it, t0, cg_iters=cg_iters)
 
 
-def _d_admm(data, cfg, deadline, lip=None, check=True, x0=None, u0=None):
+def _d_admm(data, cfg, deadline, lip=None):
     """The iterations of `d_admm_solve`, also run as the dual SSNAL's
     phase I.  lip is the estimate of lambda_max(A A^T) that sigma starts
-    from (made here when None); with check off no stopping measure is
-    evaluated, and only the deadline stops the loop before cfg.max_iters.
+    from (made here when None).
 
-    Returns (x, xi, u, iters, status, eta_rel, cg_iters).
+    Returns (x, xi, u, iters, status, cg_iters).
     """
     pen = data.require_penalties()
     A, b = data.A, data.b
     m, n = A.m, A.n
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
+    x = np.zeros(n)
+    u = np.zeros(n)
     xi = np.zeros(m)
 
     gram_side = cfg.variant == "exact" and n < m
@@ -170,7 +167,7 @@ def _d_admm(data, cfg, deadline, lip=None, check=True, x0=None, u0=None):
         chol = cholesky(sigma * gram, 1.0)
 
     cg_iters = 0
-    status = e_rel = None
+    status = None
     u_prev = u.copy()
     it = 0
     for it in range(1, cfg.max_iters + 1):
@@ -203,23 +200,19 @@ def _d_admm(data, cfg, deadline, lip=None, check=True, x0=None, u0=None):
                     chol = cholesky(sigma * gram, 1.0)
         u_prev = u
 
-        if check:
-            status, e_rel = _check(cfg, data, x, it, deadline, e_rel,
-                                   *((gram, atb) if gram_side else ()))
-        elif time.perf_counter() > deadline:
-            status = MAX_TIME
+        status = _check(cfg, data, x, it, deadline,
+                        *((gram, atb) if gram_side else ()))
         if status:
             break
 
     if gram_side:
         xi = A.matvec(xi_arg) - b
-    return x, xi, u, it, status, e_rel, cg_iters
+    return x, xi, u, it, status, cg_iters
 
 
-def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
-                 z0: Optional[np.ndarray] = None,
-                 y0: Optional[np.ndarray] = None) -> Solution:
-    """ADMM on the primal splitting x - z = 0.
+def p_admm_solve(data: ProblemData,
+                 cfg: Optional[FirstOrderConfig] = None) -> Solution:
+    """ADMM on the primal splitting x - z = 0, from z = y = 0.
 
     Iterates: solve (sigma I + A^T A) x = A^T b + sigma z + y, then
     z <- prox_{p/sigma}(x - y/sigma), then y <- y - kappa sigma (x - z).
@@ -232,14 +225,14 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     deadline = t0 + cfg.max_time
     sigma = SIGMA0
 
-    z = np.zeros(n) if z0 is None else np.array(z0, dtype=np.float64)
-    yv = np.zeros(n) if y0 is None else np.array(y0, dtype=np.float64)
+    z = np.zeros(n)
+    yv = np.zeros(n)
 
     gram = A.gram()
     atb = A.tmatvec(b)
     chol = cholesky(gram.copy(), sigma)
 
-    status = e_rel = None
+    status = None
     x = np.zeros(n)
     z_prev = z.copy()
     it = 0
@@ -257,21 +250,21 @@ def p_admm_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
                 chol = cholesky(gram.copy(), sigma)
         z_prev = z
 
-        status, e_rel = _check(cfg, data, x, it, deadline, e_rel, gram, atb)
+        status = _check(cfg, data, x, it, deadline, gram, atb)
         if status:
             break
 
     xi, u = dual_pair(z, data)
-    return _finish(x, xi, u, data, status, it, t0, e_rel, z=z)
+    return _finish(x, xi, u, data, cfg, status, it, t0, z=z)
 
 
-def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
-              x0: Optional[np.ndarray] = None,
-              lipschitz: Optional[float] = None) -> Solution:
-    """Accelerated proximal gradient with the usual momentum sequence
-    t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 and gradient restart.
+def apg_solve(data: ProblemData,
+              cfg: Optional[FirstOrderConfig] = None) -> Solution:
+    """Accelerated proximal gradient from x = 0 with the usual momentum
+    sequence t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 and gradient restart.
 
-    Each step takes x+ = prox_{p/L}(w - grad f(w)/L).  When
+    Each step takes x+ = prox_{p/L}(w - grad f(w)/L), L the 100-step
+    `estimate_lipschitz`.  When
     <w - x+, x+ - x> > 0 the momentum points uphill, so the scheme
     restarts: t <- 1 and w <- x+.  Otherwise
     w <- x+ + ((t_k - 1)/t_{k+1})(x+ - x).  The restart rule has no
@@ -288,16 +281,15 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
     # on a tall design one product with A^T A replaces two with A in each
     # gradient, power iteration and stopping check
     gram, atb = (A.gram(), A.tmatvec(b)) if n < A.m else (None, None)
-    L = (lipschitz if lipschitz is not None
-         else estimate_lipschitz(A, gram=gram))
+    L = estimate_lipschitz(A, gram=gram)
     if L <= 0:
         raise ValueError("need a positive Lipschitz estimate (zero matrix?)")
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros(n)
     w = x.copy()
     t = 1.0
 
-    status = e_rel = None
+    status = None
     it = 0
     for it in range(1, cfg.max_iters + 1):
         if gram is None:
@@ -315,9 +307,9 @@ def apg_solve(data: ProblemData, cfg: Optional[FirstOrderConfig] = None,
             t = t_new
         x = x_new
 
-        status, e_rel = _check(cfg, data, x, it, deadline, e_rel, gram, atb)
+        status = _check(cfg, data, x, it, deadline, gram, atb)
         if status:
             break
 
     xi, u = dual_pair(x, data)
-    return _finish(x, xi, u, data, status, it, t0, e_rel)
+    return _finish(x, xi, u, data, cfg, status, it, t0)

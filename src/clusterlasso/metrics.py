@@ -54,7 +54,7 @@ def dual_pair(z: np.ndarray, data: ProblemData):
     """The dual pair (xi, u) a primal point z gives: xi = Az - b and
     u = proj_{dom p*}(-A^T xi)."""
     xi = data.A.matvec(z) - data.b
-    u = prox_conjugate(-data.A.tmatvec(xi), 1.0, data.require_penalties())
+    u = prox_conjugate(-data.A.tmatvec(xi), data.require_penalties())
     return xi, u
 
 

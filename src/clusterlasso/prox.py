@@ -142,14 +142,12 @@ def prox_clustered(y: np.ndarray, pen: Penalties) -> ProxResult:
     return ProxResult(prox=prox, s_rho=s, perm=perm, y_absmax=y_absmax)
 
 
-def prox_conjugate(y: np.ndarray, t: float, pen: Penalties) -> np.ndarray:
-    """Prox of p*/t at y, i.e. the projection onto dom p*.
+def prox_conjugate(y: np.ndarray, pen: Penalties) -> np.ndarray:
+    """Prox of p*/t at y for every t > 0, i.e. the projection onto dom p*.
 
     p is positively homogeneous, so p* is the indicator of a closed convex
     set and its prox does not depend on t; by the Moreau identity it is
     y - prox_p(y).
     """
-    if not (np.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
     y = np.asarray(y, dtype=np.float64)
     return y - prox_clustered(y, pen).prox

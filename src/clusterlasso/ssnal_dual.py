@@ -11,9 +11,9 @@ curvature part A M A^T = W W^T has a thin factor W = AP.  On a tall design
 it runs on the n x n problem (R, c) of `SquareRootForm`, where W = RP.
 
 The solve has two phases, as in SDPNAL+ (Yang, Sun & Toh, Math. Prog.
-Comput. 7, 2015).  Phase I runs PHASE1_ITERS iterations of exact d-ADMM
-(the loop of `first_order.d_admm_solve`) at its fixed, scale-free sigma
-on the same problem; its x, xi and u are where the semismooth-Newton
+Comput. 7, 2015).  Phase I runs PHASE1_ITERS iterations of d-ADMM (the
+loop of `first_order.d_admm_solve`) at its fixed, scale-free sigma on the
+same problem; its x, xi and u are where the semismooth-Newton
 augmented Lagrangian (phase II) starts, instead of zero.  Cold, the dual
 spent most of its Newton steps far from the solution at large sigma.
 """
@@ -125,10 +125,13 @@ class DualStep:
     lambda_max(A^T A) (1 for a zero A), fixes the first subproblem's
     curvature sigma A M A^T whatever the scale of A and b.
     The iterates x, xi and u start at phase I's: PHASE1_ITERS iterations
-    of exact d-ADMM with adaptive_sigma off on form.data, made here, so
-    inside the solve's timed window; phase1_iters records the count.  It
-    is `d_admm_solve`'s loop from the same power estimate as sigma0, with
-    no stopping measure and no `Solution`: only the deadline ends it early.
+    of d-ADMM with adaptive_sigma off on form.data, made here, so inside
+    the solve's timed window; phase1_iters records the count.  It is
+    `d_admm_solve`'s loop from the same power estimate as sigma0, with no
+    stopping measure (check_every past the last iteration) and no
+    `Solution`: only the deadline ends it early.  It is the exact variant
+    unless min(m, n) of form.data exceeds DENSE_CAP, the largest factor a
+    Newton route makes; then the inexact (CG) one.
     """
 
     z = None
@@ -140,10 +143,12 @@ class DualStep:
         self.cfg = cfg
         lip = estimate_lipschitz(data.A, iters=10)
         self.sigma0 = SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
+        variant = "inexact" if min(data.m, data.n) > DENSE_CAP else "exact"
         self.x, self.xi, self.u, self.phase1_iters, *_ = _d_admm(
             data, FirstOrderConfig(max_iters=PHASE1_ITERS,
-                                   adaptive_sigma=False),
-            time.perf_counter() + cfg.max_time, lip=lip, check=False)
+                                   adaptive_sigma=False, variant=variant,
+                                   check_every=PHASE1_ITERS + 1),
+            time.perf_counter() + cfg.max_time, lip=lip)
 
     def inner(self, sigma, k, deadline):
         eps_k, delta_k, deltap_k = tolerances(k)

@@ -121,8 +121,8 @@ def test_linearized_d_admm_is_gone():
 
 
 def test_removed_parameters_stay_removed():
-    from clusterlasso import (common, jacobian, linalg, metrics, ssnal_dual,
-                              ssnal_primal)
+    from clusterlasso import (common, first_order, jacobian, linalg, metrics,
+                              prox, ssnal_dual, ssnal_primal)
 
     def params(fn):
         return set(inspect.signature(fn).parameters)
@@ -153,3 +153,10 @@ def test_removed_parameters_stay_removed():
     fields = {f.name for f in dataclasses.fields(FirstOrderConfig)}
     assert "track_objective" not in fields
     assert "obj_trace" not in {f.name for f in dataclasses.fields(Solution)}
+    # every baseline starts at zero, APG from its own Lipschitz estimate;
+    # phase I turns the stopping check off through check_every
+    for solver in (first_order.d_admm_solve, first_order.p_admm_solve,
+                   first_order.apg_solve):
+        assert params(solver) == {"data", "cfg"}
+    assert params(prox.prox_conjugate) == {"y", "pen"}
+    assert not {"check", "x0", "u0"} & params(first_order._d_admm)

@@ -3,11 +3,13 @@
 import csv
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from clusterlasso import first_order
 from clusterlasso.cli import (SOLVER_NAMES, _run_solver, main, read_vector,
                               write_vector)
 from clusterlasso.data import (ScenarioSpec, generate_scenario,
@@ -271,6 +273,22 @@ class TestBench:
         # the SSNAL rows name the problem they solved; 64 x 8 is tall
         assert {r["solver"]: r["form"] for r in rows} == {
             "ssnal-d": "square_root", "ssnal-p": "square_root", "admm-p": ""}
+
+    def test_rel_tol_zero_reaches_the_baseline(self, capsys, monkeypatch):
+        # --rel-tol is the baselines' tol against ref_pobj, 0 included
+        seen = []
+        apg = first_order.apg_solve
+
+        def record(data, cfg):
+            seen.append(cfg)
+            return apg(data, replace(cfg, max_iters=5))
+
+        monkeypatch.setattr(first_order, "apg_solve", record)
+        _run(capsys, "bench", "--scenario", "1", "--k", "1", "--seed", "0",
+             "--m-override", "60", "--solvers", "apg", "--rel-tol", "0",
+             "--alphas", "1e-2:1e-2")
+        assert len(seen) == 1
+        assert seen[0].tol == 0.0 and seen[0].ref_pobj is not None
 
     def test_stdout_default(self, capsys):
         code, out, _ = _run(

@@ -261,18 +261,9 @@ class TestProxClustered:
             n = int(rng.integers(1, 40))
             y = rng.normal(size=n) * rng.choice([0.1, 1.0, 50.0])
             pen = Penalties(float(rng.uniform(0, 2)), float(rng.uniform(0, 1)))
-            total = prox_clustered(y, pen).prox + prox_conjugate(y, 1.0, pen)
+            total = prox_clustered(y, pen).prox + prox_conjugate(y, pen)
             np.testing.assert_allclose(
                 total, y, atol=1e-12 * (1 + np.linalg.norm(y)))
-
-    def test_conjugate_ignores_scale(self):
-        # the conjugate of an indicator-like penalty does not depend on t
-        rng = np.random.default_rng(13)
-        y = rng.normal(size=15)
-        pen = Penalties(0.8, 0.3)
-        a = prox_conjugate(y, 1.0, pen)
-        b = prox_conjugate(y, 57.0, pen)
-        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestProxProperties:
@@ -305,7 +296,7 @@ class TestProxProperties:
     @settings(max_examples=60, deadline=None)
     def test_moreau_decomposition(self, y, beta, rho):
         pen = Penalties(beta, rho)
-        total = prox_clustered(y, pen).prox + prox_conjugate(y, 1.0, pen)
+        total = prox_clustered(y, pen).prox + prox_conjugate(y, pen)
         np.testing.assert_allclose(total, y, atol=1e-12 * (1 + np.abs(y).max()))
 
 

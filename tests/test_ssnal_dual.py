@@ -484,3 +484,28 @@ class TestPhaseOne:
         for got, ref in ((step.x, want.x), (step.xi, want.xi),
                          (step.u, want.u)):
             assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("m, n", [(30, 60), (90, 25)],
+                             ids=["wide", "tall"])
+    def test_phase_one_obeys_the_dense_cap(self, monkeypatch, m, n):
+        # with min(m, n) past DENSE_CAP, phase I solves by CG like the
+        # Newton routes, so no factor of any route exceeds the cap
+        cap = 20
+        monkeypatch.setattr(common, "DENSE_CAP", cap)
+        monkeypatch.setattr(ssnal_dual, "DENSE_CAP", cap)
+        orders = []
+
+        def recorded(module):
+            orig = module.cholesky
+
+            def factor(M, shift=0.0):
+                orders.append(M.shape[0])
+                return orig(M, shift)
+            monkeypatch.setattr(module, "cholesky", factor)
+
+        for module in (common, first_order, ssnal_dual):
+            recorded(module)
+        sol = solve(_random_problem(6, m=m, n=n))
+        assert sol.status == CONVERGED
+        assert sol.phase1_iters == ssnal_dual.PHASE1_ITERS
+        assert max(orders, default=0) <= cap
