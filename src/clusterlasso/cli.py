@@ -23,8 +23,7 @@ from .metrics import eta_rel, gnnz, nnz
 from .problem import ProblemData
 from .prox import Penalties
 
-SOLVER_NAMES = ("ssnal-d", "ssnal-p", "admm-d", "admm-p", "iadmm", "apg",
-                "auto")
+SOLVER_NAMES = ("ssnal-d", "ssnal-p", "admm-d", "admm-p", "apg", "auto")
 
 
 @dataclass
@@ -97,9 +96,6 @@ def _run_solver(name: str, data, tol: float, max_time: float,
         kwargs["max_iters"] = max_iters
     if name == "admm-d":
         return first_order.d_admm_solve(data, FirstOrderConfig(**kwargs))
-    if name == "iadmm":
-        return first_order.d_admm_solve(
-            data, FirstOrderConfig(variant="inexact", **kwargs))
     if name == "admm-p":
         return first_order.p_admm_solve(data, FirstOrderConfig(**kwargs))
     if name == "apg":
@@ -199,6 +195,9 @@ def cmd_bench(args) -> int:
     for s in solvers + [args.ref_solver]:
         if s not in SOLVER_NAMES or s == "auto":
             raise ValueError(f"bad solver name '{s}'")
+    # a negative or NaN tolerance is a bad argument, not a failed solve
+    for tol in (args.tol, args.rel_tol):
+        FirstOrderConfig(tol=tol, max_time=args.max_time)
     records = []
     any_failed = False
     for a1, a2 in _parse_alphas(args.alphas):

@@ -268,8 +268,8 @@ class SolverConfig:
     ssn: SsnControls = field(default_factory=SsnControls)
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not self.tol > 0.0 or np.isnan(self.max_time):
+            raise ValueError("tol must be positive and max_time not NaN")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
 

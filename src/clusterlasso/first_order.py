@@ -1,8 +1,8 @@
 """First-order baselines: ADMM on either formulation and accelerated
 proximal gradient.  These are the reference points the Newton solvers are
 benchmarked against; each one touches the prox, products with A and A^T, and
-at most one n x n or m x m matrix, on whichever side is smaller.  Exact dual
-ADMM at fixed sigma is also the dual SSNAL's phase I.
+at most one n x n or m x m matrix, on whichever side is smaller.  Dual ADMM
+at fixed sigma is also the dual SSNAL's phase I.
 """
 
 import time
@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import common
 from .common import CONVERGED, MAX_ITERS, MAX_TIME, Solution
 from .linalg import cg_solve, cho_solve, cholesky, estimate_lipschitz
 from .metrics import (dual_pair, duality_metrics, eta_kkt, eta_rel,
@@ -38,7 +39,7 @@ DUAL_SIGMA0_CURVATURE = 2e3
 # 4630, primal 1470, against 9050 and 4700 at 100) with sigma changing about
 # as often as at 100; at 1, sigma oscillates and changes far more often
 SIGMA_EVERY = 2
-# CG iteration cap of the inexact d-ADMM solve
+# CG iteration cap of d-ADMM's solve past DENSE_CAP
 CG_MAX_ITERS = 1000
 
 
@@ -48,30 +49,27 @@ class FirstOrderConfig:
 
     The stopping rule checks the signed relative objective gap against
     ref_pobj when one is given, else the scaled natural-map residual,
-    each against tol.  variant applies to the dual ADMM only: "exact"
-    solves with a Cholesky factor of I + sigma A A^T (of I + sigma A^T A
-    when n < m), refactored whenever adaptive_sigma moves sigma; "inexact"
-    solves by warm-started CG with a summable tolerance
-    min(0.9^k, 0.1 ||rhs||).  adaptive_sigma (on by default) rebalances
-    sigma every SIGMA_EVERY iterations; off, sigma stays where it started:
-    at SIGMA0 for the primal ADMM, at DUAL_SIGMA0_CURVATURE / L for the
-    dual one (L the power estimate of lambda_max(A A^T)).  The ADMM step
-    length, starting sigmas, balancing cadence and CG cap are the module
-    constants KAPPA, SIGMA0, DUAL_SIGMA0_CURVATURE, SIGMA_EVERY and
-    CG_MAX_ITERS.
+    each against tol (0 runs to max_iters).  The dual ADMM's linear
+    solve is no setting: it factors while min(m, n) <= `DENSE_CAP`, as
+    the Newton routes do, and runs CG past it (see `d_admm_solve`).
+    adaptive_sigma (on by default) rebalances sigma every SIGMA_EVERY
+    iterations; off, sigma stays where it started: at SIGMA0 for the
+    primal ADMM, at DUAL_SIGMA0_CURVATURE / L for the dual one (L the
+    power estimate of lambda_max(A A^T)).  The ADMM step length, starting
+    sigmas, balancing cadence and CG cap are the module constants KAPPA,
+    SIGMA0, DUAL_SIGMA0_CURVATURE, SIGMA_EVERY and CG_MAX_ITERS.
     """
 
     tol: float = 1e-6
     ref_pobj: Optional[float] = None
     max_iters: int = 20000
     max_time: float = 10800.0
-    variant: str = "exact"
     adaptive_sigma: bool = True
     check_every: int = 1
 
     def __post_init__(self):
-        if self.variant not in ("exact", "inexact"):
-            raise ValueError("variant must be exact or inexact")
+        if not self.tol >= 0.0 or np.isnan(self.max_time):
+            raise ValueError("tol must be >= 0 and max_time not NaN")
         if self.max_iters < 1 or self.check_every < 1:
             raise ValueError("max_iters and check_every must be >= 1")
 
@@ -124,12 +122,14 @@ def d_admm_solve(data: ProblemData,
     L; L is `estimate_lipschitz` in 10 steps, from A^T A when the loop
     holds it.
 
-    Only A^T xi enters the loop.  The exact variant on a tall design
-    (n < m) takes it from the n x n side: with w = x - sigma u and
-    G = A^T A, the push-through identity
-    A^T (I + sigma A A^T)^{-1} = (I + sigma G)^{-1} A^T gives
-    A^T xi = (I + sigma G)^{-1} (G w - A^T b), and xi = A(w - sigma A^T xi)
-    - b is formed once, after the loop.
+    The xi-step is a Cholesky solve while min(m, n) <= `DENSE_CAP`,
+    refactored whenever adaptive_sigma moves sigma; past the cap it is
+    warm-started CG to the summable tolerance min(0.9^k, 0.1 ||rhs||).
+    Only A^T xi enters the loop, so a factored tall design (n < m) takes
+    it from the n x n side: with w = x - sigma u and G = A^T A, the
+    push-through identity A^T (I + sigma A A^T)^{-1} = (I + sigma G)^{-1}
+    A^T gives A^T xi = (I + sigma G)^{-1} (G w - A^T b), and
+    xi = A(w - sigma A^T xi) - b is formed once, after the loop.
     """
     cfg = cfg or FirstOrderConfig()
     t0 = time.perf_counter()
@@ -152,8 +152,9 @@ def _d_admm(data, cfg, deadline, lip=None):
     u = np.zeros(n)
     xi = np.zeros(m)
 
-    gram_side = cfg.variant == "exact" and n < m
-    if cfg.variant == "exact":
+    factored = min(m, n) <= common.DENSE_CAP
+    gram_side = factored and n < m
+    if factored:
         if gram_side:
             gram = A.gram()
             atb = A.tmatvec(b)
@@ -163,7 +164,7 @@ def _d_admm(data, cfg, deadline, lip=None):
         lip = estimate_lipschitz(A, iters=10,
                                  gram=gram if gram_side else None)
     sigma = DUAL_SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
-    if cfg.variant == "exact":
+    if factored:
         chol = cholesky(sigma * gram, 1.0)
 
     cg_iters = 0
@@ -177,7 +178,7 @@ def _d_admm(data, cfg, deadline, lip=None):
             xi_arg = w - sigma * at_xi
         else:
             rhs = -b + A.matvec(x - sigma * u)
-            if cfg.variant == "exact":
+            if factored:
                 xi = cho_solve(chol, rhs)
             else:
                 tol_k = min(0.9 ** it, 0.1 * float(np.linalg.norm(rhs)))
@@ -196,7 +197,7 @@ def _d_admm(data, cfg, deadline, lip=None):
                                  sigma * float(np.linalg.norm(u - u_prev)))
             if scale != 1.0:
                 sigma *= scale
-                if cfg.variant == "exact":
+                if factored:
                     chol = cholesky(sigma * gram, 1.0)
         u_prev = u
 

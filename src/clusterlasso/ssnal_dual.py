@@ -23,9 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .common import (DENSE_CAP, NEWTON_CG_ITERS, SolverConfig, Solution,
-                     SquareRootForm, augmented_lagrangian, newton,
-                     newton_cg_target, tolerances)
+from . import common
+from .common import (NEWTON_CG_ITERS, SolverConfig, Solution, SquareRootForm,
+                     augmented_lagrangian, newton, newton_cg_target,
+                     tolerances)
 from .first_order import FirstOrderConfig, _d_admm
 from .jacobian import ProxJacobian, build_jacobian, design_factors
 from .linalg import cg_solve, cho_solve, cholesky, estimate_lipschitz
@@ -36,7 +37,7 @@ from .prox import prox_clustered
 # sigma_0 lambda_max(A A^T) at the start of the dual's outer loop; the
 # product is unchanged when A or b is rescaled
 SIGMA0_CURVATURE = 100.0
-# exact d-ADMM iterations at fixed sigma (phase I) before the Newton
+# d-ADMM iterations at fixed sigma (phase I) before the Newton
 # phase, sigma from `first_order.DUAL_SIGMA0_CURVATURE`.  Of 50 to 300,
 # measured on the benchmark's three instance families and the acceptance
 # grid: past 100, phase I cost more than the Newton steps it saved on every
@@ -61,7 +62,7 @@ def solve_newton_system(jac: ProxJacobian, A, sigma: float, rhs: np.ndarray):
         return rhs.copy(), 0
     W = design_factors(jac, A)
     m, k = W.shape
-    if min(k, m) > DENSE_CAP:
+    if min(k, m) > common.DENSE_CAP:
         return cg_solve(lambda v: v + sigma * (W @ (W.T @ v)), rhs,
                         newton_cg_target(rhs), NEWTON_CG_ITERS)
     if k < m:
@@ -129,9 +130,8 @@ class DualStep:
     the solve's timed window; phase1_iters records the count.  It is
     `d_admm_solve`'s loop from the same power estimate as sigma0, with no
     stopping measure (check_every past the last iteration) and no
-    `Solution`: only the deadline ends it early.  It is the exact variant
-    unless min(m, n) of form.data exceeds DENSE_CAP, the largest factor a
-    Newton route makes; then the inexact (CG) one.
+    `Solution`: only the deadline ends it early.  Like every Newton route,
+    it factors no matrix of order above `DENSE_CAP` (`d_admm_solve`).
     """
 
     z = None
@@ -143,10 +143,9 @@ class DualStep:
         self.cfg = cfg
         lip = estimate_lipschitz(data.A, iters=10)
         self.sigma0 = SIGMA0_CURVATURE / lip if lip > 0.0 else 1.0
-        variant = "inexact" if min(data.m, data.n) > DENSE_CAP else "exact"
         self.x, self.xi, self.u, self.phase1_iters, *_ = _d_admm(
             data, FirstOrderConfig(max_iters=PHASE1_ITERS,
-                                   adaptive_sigma=False, variant=variant,
+                                   adaptive_sigma=False,
                                    check_every=PHASE1_ITERS + 1),
             time.perf_counter() + cfg.max_time, lip=lip)
 

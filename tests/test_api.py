@@ -56,9 +56,9 @@ def test_first_order_config_has_no_constant_knobs():
     from clusterlasso import first_order
 
     fields = {f.name for f in dataclasses.fields(FirstOrderConfig)}
-    assert fields == {"tol", "ref_pobj", "max_iters", "max_time", "variant",
+    assert fields == {"tol", "ref_pobj", "max_iters", "max_time",
                       "adaptive_sigma", "check_every"}
-    for gone in ("kappa", "sigma", "lin_tau", "cg", "tol_metric"):
+    for gone in ("kappa", "sigma", "lin_tau", "cg", "tol_metric", "variant"):
         assert gone not in fields
         assert not hasattr(FirstOrderConfig(), gone)
     # the sigma-balancing cadence is a module constant, and balancing is on
@@ -116,8 +116,41 @@ def test_ssn_controls_reject_a_cap_below_one(cap):
 
 
 def test_linearized_d_admm_is_gone():
-    with pytest.raises(ValueError):
+    # no setting names a d-ADMM variant any more
+    with pytest.raises(TypeError):
         FirstOrderConfig(variant="linearized")
+
+
+def test_d_admm_solve_is_not_a_setting():
+    # d-ADMM factors or runs CG by min(m, n) against common.DENSE_CAP, the
+    # one copy of the cap every solver reads at call time
+    from clusterlasso import cli, first_order, ssnal_dual
+
+    assert "variant" not in {f.name for f in dataclasses.fields(
+        FirstOrderConfig)}
+    assert "iadmm" not in cli.SOLVER_NAMES
+    for module in (first_order, ssnal_dual):
+        assert not hasattr(module, "DENSE_CAP")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": -1.0}, {"tol": float("nan")}, {"max_time": float("nan")}],
+    ids=["negative_tol", "nan_tol", "nan_max_time"])
+def test_first_order_config_rejects_bad_stops(kwargs):
+    # tol = 0 stays allowed: it runs to max_iters
+    FirstOrderConfig(tol=0.0)
+    with pytest.raises(ValueError):
+        FirstOrderConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("nan")}, {"max_time": float("nan")}],
+    ids=["nan_tol", "nan_max_time"])
+def test_solver_config_rejects_bad_stops(kwargs):
+    # NaN never compares true, so it would pass an ordered check and the
+    # solve would run to max_outer or never meet its deadline
+    with pytest.raises(ValueError):
+        SolverConfig(**kwargs)
 
 
 def test_removed_parameters_stay_removed():

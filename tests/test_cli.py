@@ -115,8 +115,7 @@ class TestSolve:
             0.5 * (1.0 + 1.0 + 0.25), rel=1e-12)
 
     def test_each_named_solver_runs(self, capsys):
-        for solver in ("ssnal-d", "ssnal-p", "admm-d", "admm-p", "iadmm",
-                       "apg"):
+        for solver in ("ssnal-d", "ssnal-p", "admm-d", "admm-p", "apg"):
             code, out, _ = _run(
                 capsys, "solve", "--scenario", "1", "--k", "1", "--seed", "0",
                 "--m-override", "60", "--alpha1", "5e-2", "--alpha2", "1e-2",
@@ -147,11 +146,23 @@ class TestSolve:
         assert named == [s for s in SOLVER_NAMES if s != "auto"]
 
     def test_removed_solver_name_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--scenario", "1", "--alpha1", "0.1",
-                  "--alpha2", "0.1", "--solver", "ladmm"])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        # names of removed d-ADMM variants
+        for name in ("ladmm", "iadmm"):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "--scenario", "1", "--alpha1", "0.1",
+                      "--alpha2", "0.1", "--solver", name])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["ssnal-d", "admm-d"])
+    def test_nan_tol_exits_2(self, capsys, solver):
+        code, out, err = _run(
+            capsys, "solve", "--scenario", "1", "--k", "1", "--seed", "0",
+            "--m-override", "60", "--alpha1", "5e-2", "--alpha2", "1e-2",
+            "--solver", solver, "--tol", "nan", "--max-iters", "3")
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
 
     def test_missing_penalties_exits_2(self, capsys):
         code, _, err = _run(capsys, "solve", "--scenario", "1")
@@ -239,17 +250,17 @@ class TestSolve:
 
 
 class TestFirstOrderSchedule:
-    @pytest.mark.parametrize("name, runner, variant", [
-        ("admm-d", d_admm_solve, "exact"),
-        ("iadmm", d_admm_solve, "inexact"),
-        ("admm-p", p_admm_solve, "exact")])
-    def test_admm_solvers_balance_sigma(self, name, runner, variant):
+    # both factor (exact solves): min(m, n) is below DENSE_CAP
+    @pytest.mark.parametrize("name, runner", [
+        pytest.param("admm-d", d_admm_solve, id="admm-d-d_admm_solve-exact"),
+        pytest.param("admm-p", p_admm_solve, id="admm-p-p_admm_solve-exact")])
+    def test_admm_solvers_balance_sigma(self, name, runner):
         # the CLI's ADMMs run the adaptive sigma schedule the benchmark runs
         data = generate_scenario(ScenarioSpec(7, 2, 1, m_override=400)).data
         data = data.with_penalties(penalties_from_alphas(1e-3, 1e-3, data))
         cli_sol = _run_solver(name, data, 1e-5, 60.0, None)
         sol = runner(data, FirstOrderConfig(
-            tol=1e-5, max_time=60.0, variant=variant, adaptive_sigma=True))
+            tol=1e-5, max_time=60.0, adaptive_sigma=True))
         assert cli_sol.status == sol.status == "converged"
         assert cli_sol.outer_iters == sol.outer_iters
 
@@ -304,6 +315,16 @@ class TestBench:
             capsys, "bench", "--scenario", "1", "--solvers", "sgd",
             "--alphas", "1e-2:1e-2")
         assert code == 2
+
+    def test_bad_rel_tol_exits_2(self, capsys):
+        # a negative tolerance is refused before any solve runs
+        code, out, err = _run(
+            capsys, "bench", "--scenario", "1", "--k", "1", "--seed", "0",
+            "--m-override", "60", "--solvers", "admm-p", "--rel-tol", "-1",
+            "--alphas", "1e-2:1e-2")
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
 
     def test_bad_alphas_exit_2(self, capsys):
         code, _, err = _run(

@@ -481,7 +481,7 @@ class TestCgWork:
     applications, including the residual of a warm-started solve."""
 
     def test_dual_cg_route(self, monkeypatch):
-        monkeypatch.setattr(ssnal_dual, "DENSE_CAP", 0)
+        monkeypatch.setattr(common, "DENSE_CAP", 0)
         calls = _count_cg_applies(monkeypatch, ssnal_dual)
         sol = solve(_tall(8, m=12, n=8))
         assert sol.status == CONVERGED
@@ -495,10 +495,11 @@ class TestCgWork:
         assert sol.total_cg_iters == len(calls) > 0
 
     def test_inexact_dual_admm(self, monkeypatch):
+        # past DENSE_CAP d-ADMM solves by CG, with adaptive sigma on
+        monkeypatch.setattr(common, "DENSE_CAP", 0)
         calls = _count_cg_applies(monkeypatch, first_order)
         sol = first_order.d_admm_solve(
-            _tall(10, m=12, n=8),
-            first_order.FirstOrderConfig(tol=1e-5, variant="inexact"))
+            _tall(10, m=12, n=8), first_order.FirstOrderConfig(tol=1e-5))
         assert sol.status == CONVERGED
         # one warm-started CG solve per iteration, each with its residual
         assert sol.total_cg_iters == len(calls) > sol.outer_iters

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from clusterlasso import first_order
+from clusterlasso import common, first_order
 from clusterlasso.common import CONVERGED
 from clusterlasso.data import (ScenarioSpec, generate_scenario,
                                penalties_from_alphas)
@@ -45,12 +45,6 @@ ROUTE_SHAPES = {
     "tall_sparse": lambda: _sparse_problem(14, m=30, n=8),
     "wide_dense": lambda: _problem(15, m=8, n=15),
 }
-
-
-class TestConfig:
-    def test_variant_names(self):
-        with pytest.raises(ValueError):
-            FirstOrderConfig(variant="cholesky")
 
 
 class TestLipschitzEstimate:
@@ -128,14 +122,16 @@ class TestAgreementWithNewton:
 
     @pytest.mark.parametrize("runner", [d_admm_solve, p_admm_solve, apg_solve])
     def test_matches_newton_solution_wide(self, runner):
-        # m < n: exact d-ADMM and APG keep their m-side routes
+        # m < n: factored d-ADMM and APG keep their m-side routes
         self._agree(runner, _problem(1, m=8, n=15))
 
-    def test_variants_agree(self):
+    def test_variants_agree(self, monkeypatch):
+        # the factored solve, then CG once min(m, n) = 8 is past the cap
         data = _problem(2)
-        cfg = lambda v: FirstOrderConfig(tol=1e-9, variant=v)  # noqa: E731
-        exact = d_admm_solve(data, cfg("exact"))
-        inexact = d_admm_solve(data, cfg("inexact"))
+        cfg = FirstOrderConfig(tol=1e-9)
+        exact = d_admm_solve(data, cfg)
+        monkeypatch.setattr(common, "DENSE_CAP", 7)
+        inexact = d_admm_solve(data, cfg)
         np.testing.assert_allclose(inexact.x, exact.x, atol=1e-5)
 
     def test_relative_gap_stopping(self):
@@ -350,8 +346,10 @@ class TestOneStep:
 
 
 class TestCgWork:
-    def test_only_inexact_variant_reports_cg_iterations(self):
+    def test_only_inexact_variant_reports_cg_iterations(self, monkeypatch):
+        # d-ADMM solves by CG only past DENSE_CAP (min(m, n) = 8 here)
         data = _problem(2)
-        cfg = lambda v: FirstOrderConfig(tol=1e-9, variant=v)  # noqa: E731
-        assert d_admm_solve(data, cfg("inexact")).total_cg_iters > 0
-        assert d_admm_solve(data, cfg("exact")).total_cg_iters == 0
+        cfg = FirstOrderConfig(tol=1e-9)
+        assert d_admm_solve(data, cfg).total_cg_iters == 0
+        monkeypatch.setattr(common, "DENSE_CAP", 7)
+        assert d_admm_solve(data, cfg).total_cg_iters > 0

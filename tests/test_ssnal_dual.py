@@ -31,6 +31,23 @@ from oracles import (count_design_products, dense_matrix_from_apply,
                      prox_oracle)
 
 
+# a DENSE_CAP below min(m, n) of the cap tests' designs
+DENSE_CAP_PATCH = 20
+
+
+def _capped_factor_orders(monkeypatch):
+    """Patch DENSE_CAP to DENSE_CAP_PATCH; returns the list that then
+    records the order of every Cholesky factor any solver route makes."""
+    monkeypatch.setattr(common, "DENSE_CAP", DENSE_CAP_PATCH)
+    orders = []
+    for module in (common, first_order, ssnal_dual):
+        def factor(M, shift=0.0, _orig=module.cholesky):
+            orders.append(M.shape[0])
+            return _orig(M, shift)
+        monkeypatch.setattr(module, "cholesky", factor)
+    return orders
+
+
 def _random_problem(seed, m=12, n=8, beta=0.3, rho=0.1):
     rng = np.random.default_rng(seed)
     A = DesignMatrix(rng.normal(size=(m, n)))
@@ -199,7 +216,7 @@ class TestNewtonSystem:
         direct, _ = solve_newton_system(jac, A, 1.5, rhs)
         # force the CG branch by shrinking the dense-matrix cap, and
         # tighten its residual target
-        monkeypatch.setattr(ssnal_dual, "DENSE_CAP", 1)
+        monkeypatch.setattr(common, "DENSE_CAP", 1)
         monkeypatch.setattr(common, "ETA_BAR", 1e-12)
         monkeypatch.setattr(common, "TAU", 1.0)
         viacg, ncg = solve_newton_system(jac, A, 1.5, rhs)
@@ -490,22 +507,20 @@ class TestPhaseOne:
     def test_phase_one_obeys_the_dense_cap(self, monkeypatch, m, n):
         # with min(m, n) past DENSE_CAP, phase I solves by CG like the
         # Newton routes, so no factor of any route exceeds the cap
-        cap = 20
-        monkeypatch.setattr(common, "DENSE_CAP", cap)
-        monkeypatch.setattr(ssnal_dual, "DENSE_CAP", cap)
-        orders = []
-
-        def recorded(module):
-            orig = module.cholesky
-
-            def factor(M, shift=0.0):
-                orders.append(M.shape[0])
-                return orig(M, shift)
-            monkeypatch.setattr(module, "cholesky", factor)
-
-        for module in (common, first_order, ssnal_dual):
-            recorded(module)
+        orders = _capped_factor_orders(monkeypatch)
         sol = solve(_random_problem(6, m=m, n=n))
         assert sol.status == CONVERGED
         assert sol.phase1_iters == ssnal_dual.PHASE1_ITERS
-        assert max(orders, default=0) <= cap
+        assert max(orders, default=0) <= DENSE_CAP_PATCH
+
+    @pytest.mark.parametrize("m, n", [(30, 60), (90, 25)],
+                             ids=["wide", "tall"])
+    def test_d_admm_obeys_the_dense_cap(self, monkeypatch, m, n):
+        # the baseline picks its solve by the same rule as phase I: past
+        # DENSE_CAP it factors nothing and solves by CG
+        orders = _capped_factor_orders(monkeypatch)
+        sol = d_admm_solve(_random_problem(6, m=m, n=n),
+                           FirstOrderConfig(tol=1e-5))
+        assert sol.status == CONVERGED
+        assert sol.total_cg_iters > 0
+        assert max(orders, default=0) <= DENSE_CAP_PATCH
