@@ -195,9 +195,12 @@ def cmd_bench(args) -> int:
     for s in solvers + [args.ref_solver]:
         if s not in SOLVER_NAMES or s == "auto":
             raise ValueError(f"bad solver name '{s}'")
-    # a negative or NaN tolerance is a bad argument, not a failed solve
+    # a bad tolerance is a bad argument, not a failed solve: none may be
+    # negative or NaN, and --tol must be positive once it runs an SSNAL
     for tol in (args.tol, args.rel_tol):
         FirstOrderConfig(tol=tol, max_time=args.max_time)
+    if {"ssnal-d", "ssnal-p"} & {*solvers, args.ref_solver}:
+        SolverConfig(tol=args.tol, max_time=args.max_time)
     records = []
     any_failed = False
     for a1, a2 in _parse_alphas(args.alphas):
@@ -251,7 +254,7 @@ def cmd_gen(args) -> int:
                         m_override=args.m_override,
                         train_fraction=args.train_fraction)
     prob = generate_scenario(spec)
-    rows = prob.data.A.toarray()
+    rows = prob.data.A.raw
     b = prob.data.b
     if prob.A_test is not None:
         rows = np.vstack([rows, prob.A_test])

@@ -326,6 +326,16 @@ class TestBench:
         assert out == ""
         assert "tol" in err
 
+    def test_zero_tol_with_an_ssnal_exits_2(self, capsys):
+        # the SSNALs need tol > 0; the reference ssnal-d runs on --tol
+        code, out, err = _run(
+            capsys, "bench", "--scenario", "1", "--k", "1", "--seed", "0",
+            "--m-override", "60", "--solvers", "ssnal-p", "--tol", "0",
+            "--alphas", "1e-2:1e-2")
+        assert code == 2
+        assert out == ""
+        assert "tol must be positive" in err
+
     def test_bad_alphas_exit_2(self, capsys):
         code, _, err = _run(
             capsys, "bench", "--scenario", "1", "--solvers", "ssnal-d",

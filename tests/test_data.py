@@ -1,9 +1,18 @@
 """Tests for LIBSVM IO and the synthetic scenario generator."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import clusterlasso
 from clusterlasso.data import (
     SCENARIO_IDS,
     LibsvmParseError,
@@ -321,6 +330,109 @@ class TestGenerateScenario:
         X = prob.data.A.toarray()
         assert np.std(X[:, 0]) == pytest.approx(1.0, abs=0.06)
         assert np.std(X[:, 7]) == pytest.approx(1.0, abs=0.06)
+
+
+# The first 16 hex digits of SHA-256 over the shape and the C-order bytes
+# of A, b, A_test, b_test and x_true (k = 2, seed 0), per
+# "scenario/m_override/train_fraction", recorded with OpenBLAS 0.3.31
+# (Haswell kernels, one thread) on x86-64.  m = 5003 and 20000 span
+# several row passes of every n drawn here (16 to 80 columns).
+_DIGESTS = {
+    "1/60/0.8": "fa71b722c8511ff0",
+    "1/60/1.0": "a45d2965b809ddea",
+    "1/5003/0.8": "72d2ad63a3585034",
+    "1/5003/1.0": "8057128b7c20ad3d",
+    "1/20000/0.8": "cdc9444d8cc5a3e1",
+    "1/20000/1.0": "6ac87c4af7dba99e",
+    "2/60/0.8": "4a7ee410a190a55a",
+    "2/60/1.0": "de9fe87ce7f2c748",
+    "2/5003/0.8": "7014b0a4cbfd33f1",
+    "2/5003/1.0": "e7655748f4f9321a",
+    "2/20000/0.8": "5bb164634914c1f6",
+    "2/20000/1.0": "4f1ae16a59e7ae03",
+    "3/60/0.8": "4c3089a7084b234b",
+    "3/60/1.0": "426063d0b4b1ef91",
+    "3/5003/0.8": "8523496f5468cd00",
+    "3/5003/1.0": "41fbdfcc4bbbf819",
+    "3/20000/0.8": "d62c0cc589e128d7",
+    "3/20000/1.0": "47c1213a425d1b2a",
+    "4/60/0.8": "75ff9dbf3fdca8b4",
+    "4/60/1.0": "adb88f4d755efb64",
+    "4/5003/0.8": "9f6a3afd92b225c1",
+    "4/5003/1.0": "1ec99bff794e487e",
+    "4/20000/0.8": "d85253bc4d4c9fc4",
+    "4/20000/1.0": "2d58e592d4c84107",
+    "5/60/0.8": "f577717b6c20f7ff",
+    "5/60/1.0": "28d0beb4546940a3",
+    "5/5003/0.8": "e34525b3941f2a93",
+    "5/5003/1.0": "11786c5898cc57eb",
+    "5/20000/0.8": "eb2433aafe73d060",
+    "5/20000/1.0": "aeb4dfb16eea217a",
+    "6/60/0.8": "7d76e18cd59c6fa0",
+    "6/60/1.0": "29c06e36e3bbaba2",
+    "6/5003/0.8": "dc1614713df8ee4a",
+    "6/5003/1.0": "2f3dac1db789947e",
+    "6/20000/0.8": "6e6306eca8036aa0",
+    "6/20000/1.0": "bb5c07560bbaae44",
+    "7/60/0.8": "58c9e59088c70eab",
+    "7/60/1.0": "4496f7d81f319b0e",
+    "7/5003/0.8": "7569ca562735c27c",
+    "7/5003/1.0": "81a6076ad47efb84",
+    "7/20000/0.8": "9a29f5ee686be858",
+    "7/20000/1.0": "a5d661db1f5e1cd4",
+}
+
+_DIGEST_CODE = textwrap.dedent("""
+    import hashlib, json
+    import numpy as np
+    from clusterlasso.data import ScenarioSpec, generate_scenario
+    out = {}
+    for key in json.loads(input()):
+        sid, m, frac = key.split("/")
+        p = generate_scenario(ScenarioSpec(int(sid), 2, 0, m_override=int(m),
+                                           train_fraction=float(frac)))
+        h = hashlib.sha256()
+        for a in (p.data.A.raw, p.data.b, p.A_test, p.b_test, p.x_true):
+            h.update(b"-" if a is None else
+                     repr(a.shape).encode() + np.ascontiguousarray(a).tobytes())
+        out[key] = h.hexdigest()[:16]
+    print(json.dumps(out))
+""")
+
+
+class TestGeneratorDigests:
+    def test_instances_are_bit_identical_to_the_record(self):
+        # one BLAS thread: a threaded gemv splits rows differently, which
+        # moves the last bits of A x_true and so of b
+        src = str(Path(clusterlasso.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", _DIGEST_CODE], env=env,
+                             input=json.dumps(list(_DIGESTS)),
+                             capture_output=True, text=True, check=True)
+        got = json.loads(out.stdout)
+        assert {k: v for k, v in got.items() if v != _DIGESTS[k]} == {}
+
+
+class TestGeneratorMemory:
+    @pytest.mark.parametrize("sid, k", [(1, 10), (7, 2), (6, 5), (3, 4)],
+                             ids=["ar1", "const", "altsign", "blocks"])
+    def test_peak_is_near_the_returned_design(self, sid, k):
+        # 20000 x 80 designs: the rows go straight into the train and test
+        # blocks, so the peak is those blocks plus row-pass buffers and a
+        # few m-vectors
+        spec = ScenarioSpec(sid, k, 0, m_override=20000)
+        tracemalloc.start()
+        try:
+            prob = generate_scenario(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prob.data.A.shape == (16000, 80)
+        design = prob.data.A.raw.nbytes + prob.A_test.nbytes
+        assert peak <= 1.25 * design, peak / design
 
 
 class TestPenaltiesFromAlphas:

@@ -87,6 +87,14 @@ class TestDesignMatrix:
         with pytest.raises(ValueError):
             DesignMatrix(M)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_single_nonfinite_entry_rejected(self, bad):
+        # one bad entry among finite ones of both signs is enough
+        M = np.arange(-6.0, 6.0).reshape(3, 4)
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            DesignMatrix(M)
+
     def test_gram(self):
         rng = np.random.default_rng(4)
         M = rng.normal(size=(6, 3))
