@@ -2,9 +2,9 @@
 absolute-difference penalty that pulls coefficients into groups.
 
 Solvers: augmented-Lagrangian methods with semismooth-Newton inner loops on
-the dual (`solve_dual`, for m <= n) and the primal (`solve_primal`, for
-m >> n), plus ADMM and accelerated proximal-gradient baselines.  The key
-primitive everywhere is the O(n log n) proximal mapping `prox_clustered`.
+the dual (`solve_dual`) and the primal (`solve_primal`), plus ADMM and
+accelerated proximal-gradient baselines.  The key primitive everywhere is
+the O(n log n) proximal mapping `prox_clustered`.
 """
 
 from .common import (CONVERGED, MAX_ITERS, MAX_TIME, Solution, SolverConfig,

@@ -23,7 +23,15 @@ from .metrics import eta_rel, gnnz, nnz
 from .problem import ProblemData
 from .prox import Penalties
 
-SOLVER_NAMES = ("ssnal-d", "ssnal-p", "admm-d", "admm-p", "apg", "auto")
+# CLI name -> (module, function, config class).  The function is read off
+# the module at call time, so a name patched there is the one that runs.
+SOLVERS = {
+    "ssnal-d": (ssnal_dual, "solve", SolverConfig),
+    "ssnal-p": (ssnal_primal, "solve_primal", SolverConfig),
+    "admm-d": (first_order, "d_admm_solve", FirstOrderConfig),
+    "admm-p": (first_order, "p_admm_solve", FirstOrderConfig),
+    "apg": (first_order, "apg_solve", FirstOrderConfig),
+}
 
 
 @dataclass
@@ -76,34 +84,19 @@ def read_vector(path) -> np.ndarray:
     return np.frombuffer(raw[8:], dtype="<f8").copy()
 
 
-def _resolve_solver(name: str, data) -> str:
-    if name != "auto":
-        return name
-    return "ssnal-d" if data.m <= data.n else "ssnal-p"
-
-
 def _run_solver(name: str, data, tol: float, max_time: float,
                 max_iters: Optional[int], ref_pobj: Optional[float] = None):
+    module, function, cls = SOLVERS[name]
     kwargs = dict(tol=tol, max_time=max_time)
-    if name in ("ssnal-d", "ssnal-p"):
-        if max_iters is not None:
-            kwargs["max_outer"] = max_iters
-        fn = ssnal_dual.solve if name == "ssnal-d" else ssnal_primal.solve_primal
-        return fn(data, SolverConfig(**kwargs))
+    if max_iters is not None:
+        kwargs["max_outer" if cls is SolverConfig else "max_iters"] = max_iters
     if ref_pobj is not None:
         kwargs["ref_pobj"] = ref_pobj
-    if max_iters is not None:
-        kwargs["max_iters"] = max_iters
-    if name == "admm-d":
-        return first_order.d_admm_solve(data, FirstOrderConfig(**kwargs))
-    if name == "admm-p":
-        return first_order.p_admm_solve(data, FirstOrderConfig(**kwargs))
-    if name == "apg":
-        return first_order.apg_solve(data, FirstOrderConfig(**kwargs))
-    raise ValueError(f"unknown solver '{name}'")
+    return getattr(module, function)(data, cls(**kwargs))
 
 
-def _record(name, instance, data, sol, alpha1=None, alpha2=None) -> RunRecord:
+def _record(name, instance, data, sol, alpha1=None, alpha2=None,
+            ref_pobj=None) -> RunRecord:
     pen = data.penalties
     r = data.A.matvec(sol.x) - data.b
     return RunRecord(
@@ -114,7 +107,8 @@ def _record(name, instance, data, sol, alpha1=None, alpha2=None) -> RunRecord:
         wall_time_s=sol.wall_time,
         pobj=sol.pobj, dobj=sol.dobj, eta_gap=sol.eta_gap, eta_d=sol.eta_d,
         eta_kkt=sol.eta_kkt, nnz=nnz(sol.x), gnnz=gnnz(sol.x),
-        train_mse=float(r @ r) / data.m, eta_rel=sol.eta_rel,
+        train_mse=float(r @ r) / data.m,
+        eta_rel=None if ref_pobj is None else eta_rel(sol.pobj, ref_pobj),
         alpha1=alpha1, alpha2=alpha2, form=sol.form)
 
 
@@ -160,9 +154,9 @@ def _apply_penalties(args, data):
 def cmd_solve(args) -> int:
     data, instance = _load_problem(args)
     data, a1, a2 = _apply_penalties(args, data)
-    name = _resolve_solver(args.solver, data)
-    sol = _run_solver(name, data, args.tol, args.max_time, args.max_iters)
-    rec = _record(name, instance, data, sol, a1, a2)
+    sol = _run_solver(args.solver, data, args.tol, args.max_time,
+                      args.max_iters)
+    rec = _record(args.solver, instance, data, sol, a1, a2)
     payload = {k: v for k, v in asdict(rec).items() if v is not None}
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -193,13 +187,13 @@ def cmd_bench(args) -> int:
     data0, instance = _load_problem(args)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     for s in solvers + [args.ref_solver]:
-        if s not in SOLVER_NAMES or s == "auto":
+        if s not in SOLVERS:
             raise ValueError(f"bad solver name '{s}'")
-    # a bad tolerance is a bad argument, not a failed solve: none may be
-    # negative or NaN, and --tol must be positive once it runs an SSNAL
+    # a bad tolerance or time budget is a bad argument, not a failed solve:
+    # none may be negative or NaN, and an SSNAL needs a positive --tol
     for tol in (args.tol, args.rel_tol):
         FirstOrderConfig(tol=tol, max_time=args.max_time)
-    if {"ssnal-d", "ssnal-p"} & {*solvers, args.ref_solver}:
+    if SolverConfig in {SOLVERS[s][2] for s in [*solvers, args.ref_solver]}:
         SolverConfig(tol=args.tol, max_time=args.max_time)
     records = []
     any_failed = False
@@ -214,27 +208,26 @@ def cmd_bench(args) -> int:
                   file=sys.stderr)
             any_failed = True
             continue
-        ref.eta_rel = 0.0
-        records.append(_record(args.ref_solver, instance, data, ref, a1, a2))
+        records.append(_record(args.ref_solver, instance, data, ref, a1, a2,
+                               ref.pobj))
         any_failed |= ref.status != CONVERGED
         for name in solvers:
             if name == args.ref_solver:
                 continue
+            newton = SOLVERS[name][2] is SolverConfig
             try:
-                if name in ("ssnal-d", "ssnal-p"):
-                    sol = _run_solver(name, data, args.tol, args.max_time,
-                                      None)
-                    sol.eta_rel = eta_rel(sol.pobj, ref.pobj)
-                else:
-                    sol = _run_solver(name, data, args.rel_tol,
-                                      args.max_time, None, ref_pobj=ref.pobj)
+                sol = _run_solver(name, data,
+                                  args.tol if newton else args.rel_tol,
+                                  args.max_time, None,
+                                  None if newton else ref.pobj)
             except Exception as exc:  # noqa: BLE001
                 print(f"[bench] {name} failed on {a1}:{a2}: {exc}",
                       file=sys.stderr)
                 any_failed = True
                 continue
             any_failed |= sol.status != CONVERGED
-            records.append(_record(name, instance, data, sol, a1, a2))
+            records.append(_record(name, instance, data, sol, a1, a2,
+                                   ref.pobj))
     fieldnames = list(RunRecord.__dataclass_fields__)
     out = open(args.out, "w", newline="", encoding="ascii") if args.out \
         else sys.stdout
@@ -306,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--alpha2", type=float, help="rho = alpha2 * beta")
     ps.add_argument("--beta", type=float, help="explicit l1 level")
     ps.add_argument("--rho", type=float, help="explicit pairwise level")
-    ps.add_argument("--solver", choices=SOLVER_NAMES, default="auto")
+    ps.add_argument("--solver", choices=SOLVERS, default="ssnal-d")
     ps.add_argument("--tol", type=float, default=1e-6)
     ps.add_argument("--max-time", type=float, default=10800.0)
     ps.add_argument("--max-iters", type=int, default=None)
@@ -316,11 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bench", help="run several solvers over an alpha grid")
     _add_problem_flags(pb)
-    pb.add_argument("--solvers", default="ssnal-d,ssnal-p,admm-d,admm-p,apg")
+    pb.add_argument("--solvers", default=",".join(SOLVERS))
     pb.add_argument("--alphas", default="1e-3:1e-2",
                     help="comma list of alpha1:alpha2 pairs")
-    pb.add_argument("--ref-solver", default="ssnal-d",
-                    choices=[s for s in SOLVER_NAMES if s != "auto"])
+    pb.add_argument("--ref-solver", default="ssnal-d", choices=SOLVERS)
     pb.add_argument("--tol", type=float, default=1e-6,
                     help="tolerance for the Newton solvers and the reference")
     pb.add_argument("--rel-tol", type=float, default=1e-4,

@@ -268,8 +268,8 @@ class SolverConfig:
     ssn: SsnControls = field(default_factory=SsnControls)
 
     def __post_init__(self):
-        if not self.tol > 0.0 or np.isnan(self.max_time):
-            raise ValueError("tol must be positive and max_time not NaN")
+        if not self.tol > 0.0 or not self.max_time >= 0.0:
+            raise ValueError("tol must be positive and max_time >= 0")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
 
@@ -297,7 +297,6 @@ class Solution:
     total_cg_iters: int = 0
     wall_time: float = 0.0
     z: Optional[np.ndarray] = None
-    eta_rel: Optional[float] = None
     newton_residuals: List[List[float]] = field(default_factory=list)
     form: Optional[str] = None
     phase1_iters: int = 0

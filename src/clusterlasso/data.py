@@ -118,20 +118,25 @@ def write_libsvm(path, A, b) -> None:
     """Write (A, b) in LIBSVM format; zeros are skipped, indices 1-based,
     values in 17 significant digits, so `read_libsvm` gives back the same
     floats.  A may be an array, a DesignMatrix or a scipy sparse matrix
-    (anything with `toarray`); b holds one label per row."""
+    (anything with `toarray`); b holds one label per row.  Rows are
+    formatted one `_row_passes` range at a time, so the strings and index
+    arrays held at once are a small fraction of a large design."""
     b = np.asarray(b, dtype=np.float64)
     dense = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
     if b.shape != dense.shape[:1]:
         raise ValueError(f"b has shape {b.shape}; want one label per row "
                          f"of the {dense.shape[0]}-row design")
-    rows, cols = np.nonzero(dense)
-    feats = [f"{j}:{v:.17g}" for j, v in
-             zip((cols + 1).tolist(), dense[rows, cols].tolist())]
-    ends = np.cumsum(np.bincount(rows, minlength=dense.shape[0])).tolist()
+    m, n = dense.shape
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(" ".join([f"{label:.17g}", *feats[lo:hi]]) + "\n"
-                      for label, lo, hi in zip(b.tolist(), [0, *ends][:-1],
-                                               ends))
+        for r0, r1 in _row_passes(m, max(n, 1)):
+            rows, cols = np.nonzero(dense[r0:r1])
+            feats = [f"{j}:{v:.17g}" for j, v in zip(
+                (cols + 1).tolist(), dense[r0 + rows, cols].tolist())]
+            ends = np.cumsum(np.bincount(rows, minlength=r1 - r0)).tolist()
+            fh.writelines(
+                " ".join([f"{label:.17g}", *feats[lo:hi]]) + "\n"
+                for label, lo, hi in zip(b[r0:r1].tolist(), [0, *ends][:-1],
+                                         ends))
 
 
 _BASE_VECTORS = {

@@ -68,22 +68,20 @@ class FirstOrderConfig:
     check_every: int = 1
 
     def __post_init__(self):
-        if not self.tol >= 0.0 or np.isnan(self.max_time):
-            raise ValueError("tol must be >= 0 and max_time not NaN")
+        if not self.tol >= 0.0 or not self.max_time >= 0.0:
+            raise ValueError("tol must be >= 0 and max_time >= 0")
         if self.max_iters < 1 or self.check_every < 1:
             raise ValueError("max_iters and check_every must be >= 1")
 
 
-def _finish(x, xi, u, data, cfg, status, iters, t0, z=None, cg_iters=0):
-    """The baselines' Solution; eta_rel is taken at the returned x when
-    cfg has a ref_pobj."""
+def _finish(x, xi, u, data, status, iters, t0, z=None, cg_iters=0):
+    """The baselines' Solution, its measures taken at the returned x."""
     pobj, dobj, e_gap, e_d = duality_metrics(x, xi, u, data)
     return Solution(
         x=x, xi=xi, u=u, pobj=pobj, dobj=dobj, eta_gap=e_gap, eta_d=e_d,
         eta_kkt=eta_kkt(x, data), status=status or MAX_ITERS,
         outer_iters=iters, total_cg_iters=cg_iters,
-        wall_time=time.perf_counter() - t0, z=z,
-        eta_rel=None if cfg.ref_pobj is None else eta_rel(pobj, cfg.ref_pobj))
+        wall_time=time.perf_counter() - t0, z=z)
 
 
 def _check(cfg, data, x, it, deadline, gram=None, atb=None):
@@ -134,7 +132,7 @@ def d_admm_solve(data: ProblemData,
     cfg = cfg or FirstOrderConfig()
     t0 = time.perf_counter()
     x, xi, u, it, status, cg_iters = _d_admm(data, cfg, t0 + cfg.max_time)
-    return _finish(x, xi, u, data, cfg, status, it, t0, cg_iters=cg_iters)
+    return _finish(x, xi, u, data, status, it, t0, cg_iters=cg_iters)
 
 
 def _d_admm(data, cfg, deadline, lip=None):
@@ -256,7 +254,7 @@ def p_admm_solve(data: ProblemData,
             break
 
     xi, u = dual_pair(z, data)
-    return _finish(x, xi, u, data, cfg, status, it, t0, z=z)
+    return _finish(x, xi, u, data, status, it, t0, z=z)
 
 
 def apg_solve(data: ProblemData,
@@ -279,9 +277,10 @@ def apg_solve(data: ProblemData,
     t0 = time.perf_counter()
     deadline = t0 + cfg.max_time
 
-    # on a tall design one product with A^T A replaces two with A in each
-    # gradient, power iteration and stopping check
-    gram, atb = (A.gram(), A.tmatvec(b)) if n < A.m else (None, None)
+    # on a tall design within DENSE_CAP one product with A^T A replaces two
+    # with A in each gradient, power iteration and stopping check
+    gram, atb = ((A.gram(), A.tmatvec(b))
+                 if n < A.m and n <= common.DENSE_CAP else (None, None))
     L = estimate_lipschitz(A, gram=gram)
     if L <= 0:
         raise ValueError("need a positive Lipschitz estimate (zero matrix?)")
@@ -313,4 +312,4 @@ def apg_solve(data: ProblemData,
             break
 
     xi, u = dual_pair(x, data)
-    return _finish(x, xi, u, data, cfg, status, it, t0)
+    return _finish(x, xi, u, data, status, it, t0)

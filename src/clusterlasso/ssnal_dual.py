@@ -6,9 +6,9 @@ Works on the dual formulation
 
 driving xi with an inexact Newton method on the (smooth, strongly convex)
 augmented-Lagrangian subproblem and recovering the primal iterate through
-the prox.  Preferred when m <= n: the Newton systems live in R^m and their
-curvature part A M A^T = W W^T has a thin factor W = AP.  On a tall design
-it runs on the n x n problem (R, c) of `SquareRootForm`, where W = RP.
+the prox.  The Newton systems live in R^m, and their curvature part
+A M A^T = W W^T has a thin factor W = AP.  On a tall design it runs on
+the n x n problem (R, c) of `SquareRootForm`, where W = RP.
 
 The solve has two phases, as in SDPNAL+ (Yang, Sun & Toh, Math. Prog.
 Comput. 7, 2015).  Phase I runs PHASE1_ITERS iterations of d-ADMM (the

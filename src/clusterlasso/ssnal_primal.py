@@ -6,11 +6,11 @@ augmented Lagrangian in x, solving each subproblem by Newton on
     grad(x) = A^T(Ax - b) + (sigma + 1/sigma) x - (y_t + x_t/sigma)
               - prox_p(sigma x - y_t).
 
-The Newton matrix A^T A + sigma (I - M) + I/sigma lives in R^n, so this
-route is preferred when m >> n.  Its smallest eigenvalue is at least
-1/sigma, so the dense factorization never meets a singular matrix.  On a
-tall design it runs on the n x n problem (R, c) of `SquareRootForm` and
-forms the Newton matrix from the cached A^T A.
+The Newton matrix A^T A + sigma (I - M) + I/sigma lives in R^n.  Its
+smallest eigenvalue is at least 1/sigma, so the dense factorization never
+meets a singular matrix.  On a tall design it runs on the n x n problem
+(R, c) of `SquareRootForm` and forms the Newton matrix from the cached
+A^T A.
 """
 
 from typing import Optional

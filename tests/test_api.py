@@ -128,27 +128,31 @@ def test_d_admm_solve_is_not_a_setting():
 
     assert "variant" not in {f.name for f in dataclasses.fields(
         FirstOrderConfig)}
-    assert "iadmm" not in cli.SOLVER_NAMES
+    assert "iadmm" not in cli.SOLVERS
     for module in (first_order, ssnal_dual):
         assert not hasattr(module, "DENSE_CAP")
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"tol": -1.0}, {"tol": float("nan")}, {"max_time": float("nan")}],
-    ids=["negative_tol", "nan_tol", "nan_max_time"])
+    {"tol": -1.0}, {"tol": float("nan")}, {"max_time": float("nan")},
+    {"max_time": -1.0}],
+    ids=["negative_tol", "nan_tol", "nan_max_time", "negative_max_time"])
 def test_first_order_config_rejects_bad_stops(kwargs):
-    # tol = 0 stays allowed: it runs to max_iters
-    FirstOrderConfig(tol=0.0)
+    # tol = 0 stays allowed: it runs to max_iters; max_time = 0 stops at
+    # the first deadline check
+    FirstOrderConfig(tol=0.0, max_time=0.0)
     with pytest.raises(ValueError):
         FirstOrderConfig(**kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"tol": float("nan")}, {"max_time": float("nan")}],
-    ids=["nan_tol", "nan_max_time"])
+    {"tol": float("nan")}, {"max_time": float("nan")}, {"max_time": -1.0}],
+    ids=["nan_tol", "nan_max_time", "negative_max_time"])
 def test_solver_config_rejects_bad_stops(kwargs):
     # NaN never compares true, so it would pass an ordered check and the
-    # solve would run to max_outer or never meet its deadline
+    # solve would run to max_outer or never meet its deadline; a negative
+    # budget has run out before the solve starts
+    SolverConfig(max_time=0.0)
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from clusterlasso import first_order
-from clusterlasso.cli import (SOLVER_NAMES, _run_solver, main, read_vector,
+from clusterlasso.cli import (SOLVERS, _run_solver, main, read_vector,
                               write_vector)
 from clusterlasso.data import (ScenarioSpec, generate_scenario,
                                penalties_from_alphas, read_libsvm,
@@ -79,11 +79,11 @@ class TestSolve:
         # exact invocation and are bitwise reproducible from the seed.
         code, out, _ = _run(
             capsys, "solve", "--scenario", "1", "--k", "2", "--seed", "1",
-            "--alpha1", "1e-3", "--alpha2", "1e-2", "--solver", "auto")
+            "--alpha1", "1e-3", "--alpha2", "1e-2", "--solver", "ssnal-p")
         assert code == 0
         rec = json.loads(out)
         assert rec["status"] == "converged"
-        assert rec["solver"] == "ssnal-p"  # tall problem routes primal
+        assert rec["solver"] == "ssnal-p"
         assert rec["m"] == 64000 and rec["n"] == 16
         assert rec["eta_kkt"] <= 1e-6
         assert rec["nnz"] == 7
@@ -143,11 +143,12 @@ class TestSolve:
         assert para is not None
         named = [w for w in re.findall(r"`([^`]+)`", para.group(1))
                  if not w.startswith("-")]
-        assert named == [s for s in SOLVER_NAMES if s != "auto"]
+        assert named == list(SOLVERS)
 
     def test_removed_solver_name_exits_2(self, capsys):
-        # names of removed d-ADMM variants
-        for name in ("ladmm", "iadmm"):
+        # names of removed d-ADMM variants and of the shape rule that
+        # picked an SSNAL
+        for name in ("ladmm", "iadmm", "auto"):
             with pytest.raises(SystemExit) as exc:
                 main(["solve", "--scenario", "1", "--alpha1", "0.1",
                       "--alpha2", "0.1", "--solver", name])
@@ -163,6 +164,21 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert "tol" in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--alpha1", "5e-2", "--alpha2", "1e-2", "--solver"]),
+        ("bench", ["--alphas", "5e-2:1e-2", "--solvers"])],
+        ids=["solve", "bench"])
+    def test_negative_max_time_exits_2(self, capsys, command, flags):
+        # a budget that has run out before the solve is a bad argument
+        for solver in SOLVERS:
+            code, out, err = _run(
+                capsys, command, "--scenario", "1", "--k", "1", "--seed",
+                "0", "--m-override", "60", *flags, solver,
+                "--max-time", "-1")
+            assert code == 2, solver
+            assert out == ""
+            assert "max_time" in err
 
     def test_missing_penalties_exits_2(self, capsys):
         code, _, err = _run(capsys, "solve", "--scenario", "1")
@@ -383,19 +399,17 @@ class TestGen:
             main(["gen", "--scenario", "1"])
 
 
-class TestAuto:
-    def test_wide_problem_routes_dual(self, capsys, tmp_path):
-        # more columns than rows: auto picks the dual solver
-        libsvm = tmp_path / "wide.libsvm"
+class TestDefaultSolver:
+    @pytest.mark.parametrize("m", [5, 60], ids=["wide", "tall"])
+    def test_solve_runs_the_dual(self, capsys, tmp_path, m):
+        # the dual SSNAL, whatever the shape: it was faster than the
+        # primal on every design family measured
+        libsvm = tmp_path / "design.libsvm"
         rng = np.random.default_rng(0)
-        lines = []
-        for i in range(5):
-            feats = " ".join(f"{j + 1}:{rng.normal():.6f}" for j in range(9))
-            lines.append(f"{rng.normal():.6f} {feats}")
-        libsvm.write_text("\n".join(lines) + "\n")
+        write_libsvm(libsvm, rng.normal(size=(m, 9)), rng.normal(size=m))
         code, out, _ = _run(
             capsys, "solve", "--input", str(libsvm), "--alpha1", "0.5",
-            "--alpha2", "0.1", "--solver", "auto")
+            "--alpha2", "0.1")
         assert code == 0
         assert json.loads(out)["solver"] == "ssnal-d"
 

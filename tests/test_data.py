@@ -192,6 +192,20 @@ class TestLibsvmRoundTrip:
         np.testing.assert_array_equal(A2.toarray(), M)
         np.testing.assert_array_equal(b2, [1 / 9, np.sqrt(2)])
 
+    def test_writing_holds_less_than_the_design(self, tmp_path):
+        # rows are formatted one pass at a time: formatting the whole
+        # design at once peaked at 17 times its bytes
+        rng = np.random.default_rng(3)
+        M = rng.normal(size=(20000, 80))
+        b = rng.normal(size=20000)
+        tracemalloc.start()
+        try:
+            write_libsvm(tmp_path / "big.libsvm", M, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= M.nbytes, peak / M.nbytes
+
 
 class TestTrueCoefficients:
     def test_scenario_ids(self):

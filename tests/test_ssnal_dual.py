@@ -20,7 +20,7 @@ from clusterlasso.data import (
     read_libsvm,
     write_libsvm,
 )
-from clusterlasso.first_order import FirstOrderConfig, d_admm_solve
+from clusterlasso.first_order import FirstOrderConfig, apg_solve, d_admm_solve
 from clusterlasso.jacobian import build_jacobian
 from clusterlasso.linalg import DesignMatrix
 from clusterlasso.metrics import primal_objective
@@ -524,3 +524,20 @@ class TestPhaseOne:
         assert sol.status == CONVERGED
         assert sol.total_cg_iters > 0
         assert max(orders, default=0) <= DENSE_CAP_PATCH
+
+    def test_apg_obeys_the_dense_cap(self, monkeypatch):
+        # on a tall design past DENSE_CAP APG forms no A^T A and takes its
+        # gradients from products with A and A^T
+        monkeypatch.setattr(common, "DENSE_CAP", DENSE_CAP_PATCH)
+        grams = []
+        gram = DesignMatrix.gram
+
+        def record(self):
+            grams.append(self.n)
+            return gram(self)
+
+        monkeypatch.setattr(DesignMatrix, "gram", record)
+        sol = apg_solve(_random_problem(6, m=90, n=25),
+                        FirstOrderConfig(tol=1e-5))
+        assert sol.status == CONVERGED
+        assert grams == []
