@@ -117,11 +117,14 @@ def _raise_first_error(path, n_features):
 def write_libsvm(path, A, b) -> None:
     """Write (A, b) in LIBSVM format; zeros are skipped, indices 1-based,
     values in 17 significant digits, so `read_libsvm` gives back the same
-    floats.  A may be an array, a DesignMatrix or a scipy sparse matrix
-    (anything with `toarray`); b holds one label per row.  Rows are
-    formatted one `_row_passes` range at a time, so the strings and index
-    arrays held at once are a small fraction of a large design."""
+    floats.  A may be an array, a DesignMatrix (its raw array is read
+    without a copy) or a scipy sparse matrix (anything with `toarray`); b
+    holds one label per row.  Rows are formatted one `_row_passes` range
+    at a time, so the strings and index arrays held at once are a small
+    fraction of a large design."""
     b = np.asarray(b, dtype=np.float64)
+    if isinstance(A, DesignMatrix):
+        A = A.raw
     dense = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
     if b.shape != dense.shape[:1]:
         raise ValueError(f"b has shape {b.shape}; want one label per row "

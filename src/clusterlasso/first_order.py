@@ -171,9 +171,9 @@ def _d_admm(data, cfg, deadline, lip=None):
     it = 0
     for it in range(1, cfg.max_iters + 1):
         if gram_side:
+            w_sigma = sigma
             w = x - sigma * u
             at_xi = cho_solve(chol, gram @ w - atb)
-            xi_arg = w - sigma * at_xi
         else:
             rhs = -b + A.matvec(x - sigma * u)
             if factored:
@@ -205,7 +205,8 @@ def _d_admm(data, cfg, deadline, lip=None):
             break
 
     if gram_side:
-        xi = A.matvec(xi_arg) - b
+        # sigma may have moved after w and at_xi were made
+        xi = A.matvec(w - w_sigma * at_xi) - b
     return x, xi, u, it, status, cg_iters
 
 
@@ -263,7 +264,7 @@ def apg_solve(data: ProblemData,
     sequence t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 and gradient restart.
 
     Each step takes x+ = prox_{p/L}(w - grad f(w)/L), L the 100-step
-    `estimate_lipschitz`.  When
+    `estimate_lipschitz` (1 for a zero A).  When
     <w - x+, x+ - x> > 0 the momentum points uphill, so the scheme
     restarts: t <- 1 and w <- x+.  Otherwise
     w <- x+ + ((t_k - 1)/t_{k+1})(x+ - x).  The restart rule has no
@@ -282,8 +283,8 @@ def apg_solve(data: ProblemData,
     gram, atb = ((A.gram(), A.tmatvec(b))
                  if n < A.m and n <= common.DENSE_CAP else (None, None))
     L = estimate_lipschitz(A, gram=gram)
-    if L <= 0:
-        raise ValueError("need a positive Lipschitz estimate (zero matrix?)")
+    if L <= 0.0:  # a zero A, where every step leaves x = 0
+        L = 1.0
 
     x = np.zeros(n)
     w = x.copy()

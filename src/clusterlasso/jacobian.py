@@ -100,8 +100,8 @@ def build_jacobian(pr: ProxResult, pen: Penalties) -> ProxJacobian:
     step = np.diff(s)
     if np.any(step > 0):
         raise ValueError("inconsistent ProxResult: s_rho[perm] increases")
-    run_start = np.flatnonzero(np.r_[True, step < -tol])
-    run_len = np.diff(np.r_[run_start, n])
+    run_start = np.flatnonzero(np.concatenate(([True], step < -tol)))
+    run_len = np.diff(np.concatenate((run_start, [n])))
     run_nonzero = (np.abs(np.add.reduceat(s, run_start) / run_len)
                    > pen.beta + tol)
 

@@ -55,11 +55,18 @@ def ordered_weights(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (n - 1) - 2.0 * np.arange(n)
+    return np.arange(n - 1, -n, -2, dtype=np.float64)
 
 
 def soft_threshold(v: np.ndarray, thr: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
+    """sign(v) max(|v| - thr, 0), the abs, shift and clip in one buffer.
+    The sign is a product with np.sign(v), which maps -0.0 to +0.0:
+    copysign would return -0.0 there."""
+    out = np.abs(v)
+    out -= thr
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(v)
+    return out
 
 
 def penalty_value(x: np.ndarray, pen: Penalties) -> float:
@@ -86,15 +93,18 @@ def pav_nonincreasing(v: np.ndarray):
     when the sweep reaches it, so values that get pooled away are freed at
     once instead of all n being held, which keeps large inputs in cache.
     Counts are positive, so the cross-multiplied test ``ts * c < s * tc``
-    is the mean comparison ``ts / tc < s / c`` without the division.
+    is the mean comparison ``ts / tc < s / c`` without the division.  The
+    counts are held as floats, exact below 2**53, so every product in the
+    test is float by float rather than float by int; they are returned
+    as int64.
     """
     vals = iter(memoryview(v))
     sums, counts = [], []
-    ts, tc = next(vals), 1
+    ts, tc = next(vals), 1.0
     for s in vals:
         if ts < s * tc:
             s += ts
-            c = tc + 1
+            c = tc + 1.0
             while sums and sums[-1] * c < s * counts[-1]:
                 s += sums.pop()
                 c += counts.pop()
@@ -102,11 +112,11 @@ def pav_nonincreasing(v: np.ndarray):
         else:
             sums.append(ts)
             counts.append(tc)
-            ts, tc = s, 1
+            ts, tc = s, 1.0
     sums.append(ts)
     counts.append(tc)
     return (np.fromiter(sums, np.float64, len(sums)),
-            np.fromiter(counts, np.int64, len(counts)))
+            np.fromiter(counts, np.float64, len(counts)).astype(np.int64))
 
 
 def project_nonincreasing(v: np.ndarray) -> np.ndarray:
@@ -116,7 +126,7 @@ def project_nonincreasing(v: np.ndarray) -> np.ndarray:
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
     sums, counts = pav_nonincreasing(v)
-    return np.repeat(sums / counts, counts)
+    return (sums / counts).repeat(counts)
 
 
 def prox_clustered(y: np.ndarray, pen: Penalties) -> ProxResult:
@@ -125,6 +135,7 @@ def prox_clustered(y: np.ndarray, pen: Penalties) -> ProxResult:
     The pairwise prox s_rho keeps the input's ordering: sort y (stable,
     descending), shift by rho * ordered_weights, project onto the
     non-increasing cone, unsort; ||y||_inf is read off the sorted ends.
+    y is gathered into sorted order once, and shifted in that buffer.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
@@ -134,10 +145,11 @@ def prox_clustered(y: np.ndarray, pen: Penalties) -> ProxResult:
         y_absmax = float(np.max(np.abs(y)))
     else:
         perm = np.argsort(-y, kind="stable")
+        ys = y[perm]
+        y_absmax = float(max(abs(ys[0]), abs(ys[-1])))
+        ys -= pen.rho * ordered_weights(y.size)
         s = np.empty_like(y)
-        s[perm] = project_nonincreasing(
-            y[perm] - pen.rho * ordered_weights(y.size))
-        y_absmax = float(max(abs(y[perm[0]]), abs(y[perm[-1]])))
+        s[perm] = project_nonincreasing(ys)
     prox = soft_threshold(s, pen.beta) if pen.beta != 0.0 else s.copy()
     return ProxResult(prox=prox, s_rho=s, perm=perm, y_absmax=y_absmax)
 

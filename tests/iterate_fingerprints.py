@@ -14,7 +14,8 @@ Solves, one line each:
 Each line gives the status, the outer, Newton, CG and phase-I counts and
 a short SHA-256 of the bytes of x, xi, u, z and pobj.  Two checkouts that
 print the same output return the same iterates; a solve that raises
-prints its exception's name.
+prints its exception's name, and nothing goes to stderr, so output kept
+with ``2>&1`` compares across checkouts too.
 
 pytest does not collect this file.  Run it from the root of a source
 checkout (BLAS is pinned to one thread here, before numpy loads):
@@ -22,7 +23,9 @@ checkout (BLAS is pinned to one thread here, before numpy loads):
     python tests/iterate_fingerprints.py > fingerprints.txt
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import os
 import sys
@@ -70,7 +73,10 @@ def pool_lines():
             inst = workloads.make_instance(wl, seed)
             for solver in wl.solvers:
                 label = f"{wl.name} {seed} {solver}"
-                out = workloads.solve(solver, inst)
+                # a raising solve logs a traceback, which names the
+                # checkout's own path, to stderr; the line names the error
+                with contextlib.redirect_stderr(io.StringIO()):
+                    out = workloads.solve(solver, inst)
                 yield (fingerprint(label, out.sol) if out.sol is not None
                        else f"{label}: raised {out.error}")
 

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own algorithmic path:
 the penalty is evaluated by an O(n^2) double loop, the prox by an ADMM on
 the explicit all-pairs difference matrix, the isotone projection by an
 exhaustive active-set QP search, and the prox Jacobian by the dense
-pseudo-inverse formula.  `count_design_products` counts the solvers'
+pseudo-inverse formula.  `pav_reference` is the one exception: the PAV
+sweep's own comparisons written out over an array stack, so that the
+library's sweep can be held to it bit for bit.  `count_design_products` counts the solvers'
 products with each design, and `equal_runs` splits a vector into its
 runs of equal entries.
 """
@@ -118,6 +120,28 @@ def isotone_qp_oracle(v, tol=1e-9):
             break
     assert best is not None, "no KKT point found (tolerance too tight?)"
     return best
+
+
+def pav_reference(v):
+    """Array-stack PAV over numpy scalars with int64 counts: the same
+    comparisons and additions in the same order as
+    ``prox.pav_nonincreasing``, written out directly.  Returns the
+    ``(sums, counts)`` stack."""
+    n = v.shape[0]
+    sums = np.empty(n, dtype=np.float64)
+    counts = np.empty(n, dtype=np.int64)
+    top = 0
+    for i in range(n):
+        s = v[i]
+        c = 1
+        while top > 0 and sums[top - 1] * c < s * counts[top - 1]:
+            s += sums[top - 1]
+            c += counts[top - 1]
+            top -= 1
+        sums[top] = s
+        counts[top] = c
+        top += 1
+    return sums[:top].copy(), counts[:top].copy()
 
 
 def difference_matrix(n):

@@ -114,6 +114,19 @@ class TestSolve:
         assert rec["pobj"] == pytest.approx(
             0.5 * (1.0 + 1.0 + 0.25), rel=1e-12)
 
+    @pytest.mark.parametrize("solver", ["apg", "admm-d"])
+    def test_zero_design_solves_to_zero(self, capsys, tmp_path, solver):
+        # four label-only rows: every feature of the design is zero
+        libsvm = tmp_path / "zero.libsvm"
+        libsvm.write_text("1.0\n-1.0\n0.5\n2.0\n")
+        code, out, _ = _run(
+            capsys, "solve", "--input", str(libsvm), "--n-features", "5",
+            "--beta", "0.1", "--rho", "0.01", "--solver", solver)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["status"] == "converged"
+        assert rec["nnz"] == 0
+
     def test_each_named_solver_runs(self, capsys):
         for solver in ("ssnal-d", "ssnal-p", "admm-d", "admm-p", "apg"):
             code, out, _ = _run(

@@ -214,11 +214,18 @@ class TestApg:
         assert last.pobj <= first.pobj
         assert last.pobj == pytest.approx(solve_dual(data).pobj, rel=1e-3)
 
-    def test_rejects_zero_matrix(self):
-        A = DesignMatrix(np.zeros((3, 2)))
-        data = ProblemData(A, np.ones(3), Penalties(0.1, 0.0))
-        with pytest.raises(ValueError):
-            apg_solve(data)
+    @pytest.mark.parametrize("runner", [apg_solve, p_admm_solve,
+                                        d_admm_solve],
+                             ids=["apg", "admm_p", "admm_d"])
+    def test_zero_matrix_converges_at_zero(self, runner):
+        # the power estimate of a zero A is 0; APG then steps with L = 1,
+        # as d-ADMM starts from sigma = 1, and every step leaves x = 0
+        A = DesignMatrix(np.zeros((30, 10)))
+        b = np.random.default_rng(16).normal(size=30)
+        sol = runner(ProblemData(A, b, Penalties(0.1, 0.01)))
+        assert sol.status == CONVERGED
+        assert sol.outer_iters == 1
+        np.testing.assert_array_equal(sol.x, np.zeros(10))
 
 
 class TestAdmmDetails:

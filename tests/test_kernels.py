@@ -3,8 +3,8 @@
 ``pav_nonincreasing`` returns the unmerged ``(sums, counts)`` stack that
 ``project_nonincreasing`` turns into a projection; the projection itself is
 checked against the active-set QP oracle in ``test_prox.py``.  Here the
-sweep is held bitwise to a plain array-stack reference and checked for
-its structure.
+sweep is held bitwise to the array-stack `oracles.pav_reference` and
+checked for its structure.
 """
 
 import os
@@ -16,6 +16,7 @@ import pytest
 
 import clusterlasso
 from clusterlasso.prox import pav_nonincreasing
+from oracles import pav_reference
 
 
 def _pools_to_vector(sums, counts, n):
@@ -25,27 +26,6 @@ def _pools_to_vector(sums, counts, n):
         out[pos:pos + int(c)] = s / c
         pos += int(c)
     return out
-
-
-def _pav_reference(v):
-    """Array-stack PAV over numpy scalars: the same comparisons and
-    additions in the same order as ``pav_nonincreasing``, written out
-    directly."""
-    n = v.shape[0]
-    sums = np.empty(n, dtype=np.float64)
-    counts = np.empty(n, dtype=np.int64)
-    top = 0
-    for i in range(n):
-        s = v[i]
-        c = 1
-        while top > 0 and sums[top - 1] * c < s * counts[top - 1]:
-            s += sums[top - 1]
-            c += counts[top - 1]
-            top -= 1
-        sums[top] = s
-        counts[top] = c
-        top += 1
-    return sums[:top].copy(), counts[:top].copy()
 
 
 class TestKernelEquivalence:
@@ -58,7 +38,7 @@ class TestKernelEquivalence:
         if seed % 4 == 0:
             v = np.round(v, 1)
         s1, c1 = pav_nonincreasing(v)
-        s2, c2 = _pav_reference(v)
+        s2, c2 = pav_reference(v)
         np.testing.assert_array_equal(s1, s2)
         np.testing.assert_array_equal(c1, c2)
 

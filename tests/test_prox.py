@@ -2,13 +2,16 @@
 
 The prox is checked against two independent references that share no code
 with the library: an ADMM on the explicit all-pairs difference matrix and
-an exhaustive active-set QP for the monotone projection.
+an exhaustive active-set QP for the monotone projection.  A third, plain
+reference of the same arithmetic pins the bytes the prox and the Jacobian
+indices come out as.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from clusterlasso.jacobian import TIES_TOL, build_jacobian
 from clusterlasso.prox import (
     Penalties,
     ordered_weights,
@@ -20,7 +23,7 @@ from clusterlasso.prox import (
     soft_threshold,
 )
 from oracles import (equal_runs, isotone_qp_oracle, pairwise_penalty,
-                     prox_oracle)
+                     pav_reference, prox_oracle)
 
 
 def _vec(draw_floats, n):
@@ -319,3 +322,111 @@ class TestTiedInputs:
         assert got.prox.tobytes() == ref.prox[p].tobytes()
         assert got.s_rho.tobytes() == ref.s_rho[p].tobytes()
         assert got.y_absmax == ref.y_absmax == np.max(np.abs(y))
+
+
+def _prox_reference(y, pen):
+    """(prox, s_rho, perm, y_absmax) by the prox's arithmetic written out
+    plainly: weights (n - 1) - 2k, the int-count PAV stack, and the
+    threshold sign(v) max(|v| - beta, 0)."""
+    n = y.size
+    if pen.rho == 0.0 or n == 1:
+        s, perm = y.copy(), None
+        y_absmax = float(np.max(np.abs(y)))
+    else:
+        perm = np.argsort(-y, kind="stable")
+        sums, counts = pav_reference(
+            y[perm] - pen.rho * ((n - 1) - 2.0 * np.arange(n)))
+        s = np.empty_like(y)
+        s[perm] = np.repeat(sums / counts, counts)
+        y_absmax = float(max(abs(y[perm[0]]), abs(y[perm[-1]])))
+    prox = (np.sign(s) * np.maximum(np.abs(s) - pen.beta, 0.0)
+            if pen.beta != 0.0 else s.copy())
+    return prox, s, perm, y_absmax
+
+
+def _jacobian_reference(s_rho, perm, y_absmax, beta):
+    """(free_idx, pool_idx, pool_offsets, pool_sizes) of the Jacobian at a
+    reference prox, each run of s_rho[perm] listed by its slice of perm;
+    None where s_rho[perm] increases, which `build_jacobian` refuses."""
+    n = s_rho.size
+    tol = TIES_TOL * max(1.0, y_absmax)
+    empty = np.empty(0, dtype=np.int64)
+    if perm is None:
+        free = np.flatnonzero(np.abs(s_rho) > beta + tol).astype(np.int64)
+        return free, empty, empty, empty
+    s = s_rho[perm]
+    step = np.diff(s)
+    if np.any(step > 0):
+        return None
+    run_start = np.flatnonzero(np.r_[True, step < -tol])
+    run_len = np.diff(np.r_[run_start, n])
+    nonzero = np.abs(np.add.reduceat(s, run_start) / run_len) > beta + tol
+    free = perm[run_start[(run_len == 1) & nonzero]].astype(np.int64)
+    kept = (run_len >= 2) & nonzero
+    pools = [perm[a:a + k] for a, k in zip(run_start[kept], run_len[kept])]
+    sizes = run_len[kept].astype(np.int64)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
+    return (free, np.concatenate([empty, *pools]).astype(np.int64),
+            offsets.astype(np.int64), sizes)
+
+
+def _assert_same_bytes(y, pen):
+    got = prox_clustered(y, pen)
+    prox, s, perm, y_absmax = _prox_reference(y, pen)
+    assert got.prox.tobytes() == prox.tobytes()
+    assert got.s_rho.tobytes() == s.tobytes()
+    assert (got.perm is None) == (perm is None)
+    if perm is not None:
+        assert got.perm.dtype == perm.dtype
+        assert got.perm.tobytes() == perm.tobytes()
+    assert type(got.y_absmax) is float
+    assert got.y_absmax == y_absmax
+    want = _jacobian_reference(s, perm, y_absmax, pen.beta)
+    if want is None:
+        with pytest.raises(ValueError, match="increases"):
+            build_jacobian(got, pen)
+        return
+    jac = build_jacobian(got, pen)
+    for name, ref in zip(("free_idx", "pool_idx", "pool_offsets",
+                          "pool_sizes"), want):
+        arr = getattr(jac, name)
+        assert arr.dtype == np.int64, name
+        assert arr.tobytes() == ref.tobytes(), name
+
+
+signed_zero_ties = st.lists(
+    st.one_of(st.floats(-5, 5).map(lambda t: round(t, 1)),
+              st.sampled_from([0.0, -0.0])),
+    min_size=1, max_size=40).map(lambda v: np.array(v, dtype=np.float64))
+
+
+class TestByteReference:
+    """The prox path returns the bytes of its arithmetic written out
+    plainly, signed zeros included, and the Jacobian built from it the
+    index arrays of runs split the plain way."""
+
+    @given(signed_zero_ties, st.sampled_from([0.0, 0.5]) | st.floats(0, 3),
+           st.sampled_from([0.0, 1e-6, 0.5]) | st.floats(0, 1))
+    @example(np.array([-0.0]), 0.3, 0.5)
+    @example(np.array([-0.0, 0.0]), 0.1, 0.5)
+    @example(np.array([0.5, -0.0, -0.5]), 0.1, 0.0)
+    @example(np.array([1.0, 2.0]), 0.0, 0.0)
+    @example(np.array([-0.0, 0.0, -0.0]), 0.0, 0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_small_and_tied(self, y, beta, rho):
+        _assert_same_bytes(y, Penalties(beta, rho))
+
+    @pytest.mark.parametrize("n", [80, 200, 800])
+    def test_benchmark_sizes(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 1e3):
+            y = rng.normal(size=n) * scale
+            for beta, rho in ((0.0, 0.0), (0.1, 0.0), (0.0, 1e-3),
+                              (0.1 * scale, 1e-3 * scale)):
+                _assert_same_bytes(y, Penalties(beta, rho))
+
+    def test_pav_returns_int64_counts(self):
+        sums, counts = pav_nonincreasing(np.array([1.0, 3.0, 2.0, -1.0]))
+        assert sums.dtype == np.float64
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, [2, 1, 1])
